@@ -124,10 +124,10 @@ def run_bounds(scenario: Scenario, query_text: str | None) -> tuple[list[QueryRe
 
 def run_mincommit(scenario: Scenario) -> tuple[list[QueryResult], int]:
     system = scenario.system()
-    mass = cons.mincommit(system)
+    env = cons.lower_envelope(system)
+    mass = cons.envelope_mass(system, env)
     if mass is not None:
         return [_mass_result("mincommit", mass)], EXIT_OK
-    env = cons.lower_envelope(system)
     lines = [(scenario.frame.subset(bits).label(), float(v))
              for bits, v in enumerate(env) if v > 1e-9]
     return [QueryResult("mincommit", "diagnostic",

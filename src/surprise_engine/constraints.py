@@ -459,13 +459,13 @@ def _cell_rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> 
 
 
 def _probe(system: CompiledSystem, extra, cells=None, objective=None,
-           maximize=True, lenient=False) -> SolveResult:
+           maximize=True, lenient=False, start=None) -> SolveResult:
     rows = _static_lp_rows(system, extra)
     if cells is not None:
         rows.extend(_cell_rows(system, cells))
     lp = LinearProgram(system.mass_dim, rows, objective, maximize=maximize, zero_vars=(0,))
     try:
-        return solve(lp)
+        return solve(lp, start=start)
     except SolverError:
         if not lenient:
             raise
@@ -651,33 +651,30 @@ def surprise_report(system: CompiledSystem, event: Formula,
 
 def lower_envelope(system: CompiledSystem) -> np.ndarray:
     """Pointwise minimum of ``Bel`` over the feasible set, indexed by
-    subset bitmask.  One LP per subset."""
+    subset bitmask.  One LP per subset and surviving parameter cell; only
+    the first LP of a cell runs phase 1, the others start from its basis."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope needs 2^{n} solves; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
-    env = np.zeros(full + 1)
-    env[full] = 1.0
-    if system.num_params == 0:
+    env = np.ones(full + 1)
+    env[0] = 0.0
+    boxes = [None] if system.num_params == 0 else _surviving_leaves(system)
+    infeasible = 0
+    for cells in boxes:
+        start = None
         for s in range(1, full):
-            res = _probe(system, (), objective=system.bel_vector(s), maximize=False)
+            res = _probe(system, (), cells, objective=system.bel_vector(s), maximize=False,
+                         start=start)
             if res.status == INFEASIBLE:
-                raise InfeasibleSystem("the constraint system is infeasible")
-            env[s] = min(max(res.value, 0.0), 1.0)
-        return env
-
-    leaves = _surviving_leaves(system)
-    if not leaves:
+                infeasible += 1
+                break
+            if start is None:
+                start = res
+            env[s] = min(env[s], res.value)
+    if infeasible == len(boxes):
         raise InfeasibleSystem("the constraint system is infeasible")
-    for s in range(1, full):
-        best = 1.0
-        objective = system.bel_vector(s)
-        for cells in leaves:
-            res = _probe(system, (), cells, objective=objective, maximize=False)
-            if res.status != INFEASIBLE:
-                best = min(best, res.value)
-        env[s] = min(max(best, 0.0), 1.0)
-    return env
+    return np.clip(env, 0.0, 1.0)
 
 
 def _surviving_leaves(system: CompiledSystem) -> list[tuple]:
@@ -769,11 +766,18 @@ def mincommit(system: CompiledSystem) -> MassFunction | None:
     one exists.
 
     The lower envelope of feasible beliefs is inverted over the subset
-    lattice; the result is returned only when the recovered weights form
-    a genuine mass function that itself satisfies every constraint (it
-    then realizes the envelope exactly, hence is pointwise minimal).
+    lattice by :func:`envelope_mass`.
     """
-    env = lower_envelope(system)
+    return envelope_mass(system, lower_envelope(system))
+
+
+def envelope_mass(system: CompiledSystem, env: np.ndarray) -> MassFunction | None:
+    """The mass function whose belief is the lower envelope ``env``.
+
+    It is returned only when the recovered weights form a genuine mass
+    function that itself satisfies every constraint (it then realizes the
+    envelope exactly, hence is pointwise minimal); otherwise ``None``.
+    """
     candidate = mobius_transform(env, system.frame.theta_size)
     if candidate.min() < -1e-9:
         return None

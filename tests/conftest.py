@@ -52,6 +52,20 @@ def random_subset(frame: ProductFrame, rng: random.Random, nonempty: bool = Fals
     return frame.subset(rng.randint(lo, frame.full_bits))
 
 
+def subset_formula(frame: ProductFrame, subset) -> str:
+    """Any formula whose extension is the subset (disjunction of points)."""
+    if subset.is_empty():
+        name = frame.names[0]
+        v = frame.values(name)[0]
+        return f"({name}={v} and not {name}={v})"
+    parts = []
+    for p in subset.points():
+        values = frame.point_values(p)
+        conj = " and ".join(f"{n}={v}" for n, v in zip(frame.names, values))
+        parts.append(f"({conj})")
+    return " or ".join(parts)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

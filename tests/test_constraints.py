@@ -28,7 +28,7 @@ from surprise_engine import (
     surprise_report,
 )
 from surprise_engine.errors import ConditioningUndefined
-from conftest import random_frame, random_mass, random_subset
+from conftest import random_frame, random_mass, random_subset, subset_formula
 
 
 @pytest.fixture
@@ -198,26 +198,12 @@ class TestFeasibility:
                 value = anchor.belief(s)
                 text_op = rng.choice(["=", "<=", ">="])
                 cons.append(parse_constraint(
-                    f"Bel({_subset_formula(frame, s)}) {text_op} {value!r}", frame))
+                    f"Bel({subset_formula(frame, s)}) {text_op} {value!r}", frame))
             system = compile_constraints(cons, frame)
             res = feasible(system)
             assert res.feasible  # anchor itself satisfies everything
             for con in cons:
                 assert constraint_satisfied(res.witness, con)
-
-
-def _subset_formula(frame, subset):
-    """Any formula whose extension is the subset (disjunction of points)."""
-    if subset.is_empty():
-        name = frame.names[0]
-        v = frame.values(name)[0]
-        return f"({name}={v} and not {name}={v})"
-    parts = []
-    for p in subset.points():
-        values = frame.point_values(p)
-        conj = " and ".join(f"{n}={v}" for n, v in zip(frame.names, values))
-        parts.append(f"({conj})")
-    return " or ".join(parts)
 
 
 class TestBounds:
@@ -243,9 +229,9 @@ class TestBounds:
             for _ in range(rng.randint(1, 3)):
                 s = random_subset(frame, rng)
                 cons.append(parse_constraint(
-                    f"Bel({_subset_formula(frame, s)}) <= {anchor.belief(s)!r}", frame))
+                    f"Bel({subset_formula(frame, s)}) <= {anchor.belief(s)!r}", frame))
             system = compile_constraints(cons, frame)
-            q = term(frame, _subset_formula(frame, random_subset(frame, rng, nonempty=True)))
+            q = term(frame, subset_formula(frame, random_subset(frame, rng, nonempty=True)))
             res = bounds(system, q)
             assert evaluate_term(res.witness_lo, q) == pytest.approx(res.lo, abs=1e-6)
             assert evaluate_term(res.witness_hi, q) == pytest.approx(res.hi, abs=1e-6)
@@ -255,14 +241,14 @@ class TestBounds:
         for _ in range(10):
             frame = random_frame(rng, max_points=6)
             anchor = random_mass(frame, rng)
-            q = term(frame, _subset_formula(frame, random_subset(frame, rng, nonempty=True)))
+            q = term(frame, subset_formula(frame, random_subset(frame, rng, nonempty=True)))
             cons = []
             prev = None
             for _ in range(3):
                 s = random_subset(frame, rng)
                 op = rng.choice(["<=", ">="])
                 cons.append(parse_constraint(
-                    f"Bel({_subset_formula(frame, s)}) {op} {anchor.belief(s)!r}", frame))
+                    f"Bel({subset_formula(frame, s)}) {op} {anchor.belief(s)!r}", frame))
                 res = bounds(compile_constraints(cons, frame), q)
                 if prev is not None:
                     assert res.lo >= prev.lo - 1e-6
@@ -323,7 +309,7 @@ class TestCompilerOracleEquivalence:
             f = random_subset(frame, rng)
             value = conditioned.belief(f)
             con = parse_constraint(
-                f"Bel({_subset_formula(frame, f)} | {_subset_formula(frame, g)}) = {value!r}",
+                f"Bel({subset_formula(frame, f)} | {subset_formula(frame, g)}) = {value!r}",
                 frame)
             system = compile_constraints([con], frame)
             vec = m.to_vector()
@@ -333,7 +319,7 @@ class TestCompilerOracleEquivalence:
             # now a perturbed target value must violate the row
             wrong = value + (0.2 if value <= 0.5 else -0.2)
             con2 = parse_constraint(
-                f"Bel({_subset_formula(frame, f)} | {_subset_formula(frame, g)}) = {wrong!r}",
+                f"Bel({subset_formula(frame, f)} | {subset_formula(frame, g)}) = {wrong!r}",
                 frame)
             system2 = compile_constraints([con2], frame)
             row2 = [r for r in system2.static_rows if not isinstance(r.origin, str)][0]

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from surprise_engine import ScenarioError, bounds, feasible
-from surprise_engine.cli import Repl, bundled_scenario, main
+from surprise_engine import ScenarioError, bounds, compile_constraints, constraints, feasible
+from surprise_engine.cli import EXIT_INFEASIBLE, Repl, bundled_scenario, main
 from surprise_engine.scenario import load_scenario, parse_scenario
 
 CORPUS = ["hire.bel", "nixon.bel", "temperature.bel", "window.bel", "bunker.bel", "bird.bel"]
@@ -175,6 +175,57 @@ class TestCli:
         first = capsys.readouterr().out
         main(["bounds", str(bundled_scenario("window.bel"))])
         assert capsys.readouterr().out == first
+
+
+class TestOverCommittedBunker:
+    """Bunker copies whose added row contradicts the fused confidence
+    c + d - c*d: ``check`` must name a conflict, not fail in the solver."""
+
+    @pytest.mark.parametrize("c, d, b", [(0.6, 0.7, 0.8), (0.3, 0.5, 0.575),
+                                         (0.25, 0.65, 0.694)])
+    def test_check_prints_an_irreducible_core(self, capsys, tmp_path, c, d, b):
+        text = bundled_scenario("bunker.bel").read_text()
+        text = text.replace("c = 0.6", f"c = {c}").replace("d = 0.7", f"d = {d}")
+        added = f"Bel(M | P /\\ E) <= {b}"
+        text = text.replace("[queries]", f"{added}\n\n[queries]")
+        path = tmp_path / "over.bel"
+        path.write_text(text)
+
+        assert main(["check", str(path)]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out + captured.err
+        lines = captured.out.splitlines()
+        assert "CHECK infeasible" in lines
+        core = [line.split(": ", 1)[1] for line in lines if line.startswith("CONFLICT")]
+        assert added in core
+
+        sc = load_scenario(path)
+        by_text = {con.render(sc.frame): con for con in sc.constraints}
+        for dropped in core:
+            rest = [by_text[t] for t in core if t != dropped]
+            assert feasible(compile_constraints(rest, sc.frame)).feasible
+
+
+def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "refuse.bel"
+    path.write_text("[variables]\nX: a, b, c\n\n[constraints]\n"
+                    "Bel(X=a or X=b) = 1\nBel(X=a) + Bel(X=b) = 1\n")
+    solves = []
+    solve = constraints.solve
+
+    def counting(lp, *args, **kwargs):
+        solves.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(constraints, "solve", counting)
+    assert main(["mincommit", str(path)]) == EXIT_INFEASIBLE
+    assert len(solves) == 2 ** 3 - 2
+    assert capsys.readouterr().out.splitlines() == [
+        "DIAGNOSTIC no minimum-committed belief function; lower envelope is not a "
+        "belief function",
+        "MASS {(X=a), (X=b)} = 1",
+        "MASS {(X=a), (X=b), (X=c)} = 1",
+    ]
 
 
 def _run_repl(scenario_text, commands):

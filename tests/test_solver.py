@@ -6,8 +6,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from surprise_engine import IterationLimit, LinearProgram, SolverError, solve
+from surprise_engine import (
+    EngineError,
+    IterationLimit,
+    LinearProgram,
+    SolverError,
+    compile_constraints,
+    parse_constraint,
+    solve,
+    solver,
+)
 from surprise_engine.solver import FEASIBLE, INFEASIBLE, OPTIMAL
+from conftest import random_frame, random_mass, random_subset, subset_formula
 
 
 def test_segment_optimum():
@@ -211,3 +221,201 @@ def test_row_width_validation():
         LinearProgram(3, [([1, 2], "=", 0.5)])
     with pytest.raises(SolverError):
         LinearProgram(3, [([1, 2, 3], "!!", 0.5)])
+
+
+def _random_rows(rng, n, count):
+    return [([rng.uniform(-1, 1) for _ in range(n)], rng.choice(["<=", ">=", "="]),
+             rng.uniform(0.0, 0.5)) for _ in range(count)]
+
+
+def test_warm_start_matches_cold_solve():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        rows = _random_rows(rng, n, rng.randint(0, 5))
+        zero_vars = (0,) if rng.random() < 0.5 else ()
+        start = solve(LinearProgram(n, rows, zero_vars=zero_vars))
+        if start.status == INFEASIBLE:
+            continue
+        for _ in range(6):
+            objective = [rng.uniform(-1, 1) for _ in range(n)]
+            lp = LinearProgram(n, rows, objective, maximize=rng.random() < 0.5,
+                               zero_vars=zero_vars)
+            cold = solve(lp)
+            warm = solve(lp, start=start)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            if warm.dual_value is not None:
+                assert warm.dual_value == pytest.approx(warm.value, abs=1e-6)
+            # an optimal result is a feasible basis too
+            again = solve(lp, start=cold)
+            assert again.value == pytest.approx(cold.value, abs=1e-9)
+            assert again.pivots == 0
+            checked += 1
+    assert checked >= 60
+
+
+def test_start_from_other_rows_rejected():
+    rows = [([1.0, 0.0, 0.0], "<=", 0.5), ([0.0, 1.0, 0.0], ">=", 0.1)]
+    start = solve(LinearProgram(3, rows))
+    assert start.status == FEASIBLE
+    objective = [1.0, 2.0, 3.0]
+    others = [
+        LinearProgram(3, rows[:1], objective),
+        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.0], ">=", 0.2)], objective),
+        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.5], ">=", 0.1)], objective),
+        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.0], "<=", 0.1)], objective),
+        LinearProgram(3, rows, objective, zero_vars=(2,)),
+        LinearProgram(4, [([1.0, 0.0, 0.0, 0.0], "<=", 0.5), ([0.0, 1.0, 0.0, 0.0], ">=", 0.1)],
+                      objective + [4.0]),
+    ]
+    for lp in others:
+        with pytest.raises(SolverError):
+            solve(lp, start=start)
+    infeasible = solve(LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)]))
+    with pytest.raises(SolverError):
+        solve(LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)], objective),
+              start=infeasible)
+    assert solve(LinearProgram(3, rows, objective), start=start).status == OPTIMAL
+
+
+def _degenerate_rows(rng, n):
+    """Many rows with zero right-hand sides, all tight at one vertex."""
+    vertex = rng.randrange(n)
+    rows = []
+    for _ in range(rng.randint(n, 3 * n)):
+        coeffs = [rng.choice([-1.0, 0.0, 1.0, rng.uniform(-1, 1)]) for _ in range(n)]
+        coeffs[vertex] = 0.0
+        rows.append((coeffs, rng.choice(["<=", ">=", "<=", ">=", "="]), 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("threshold", [0, 1])
+def test_bland_fallback_agrees_with_default_rule(monkeypatch, threshold):
+    rng = random.Random(23)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        objective = [rng.uniform(-1, 1) for _ in range(n)]
+        lp = LinearProgram(n, _degenerate_rows(rng, n), objective,
+                           maximize=rng.random() < 0.5)
+        cases.append((lp, solve(lp)))
+    monkeypatch.setattr(solver, "BLAND_AFTER", threshold)
+    for lp, default in cases:
+        res = solve(lp)
+        assert res.status == default.status == OPTIMAL
+        assert res.value == pytest.approx(default.value, abs=1e-9)
+
+
+def test_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
+    # Beale (1955): at the degenerate origin Dantzig's rule, with ties on
+    # the smallest basis variable, cycles through six bases forever.
+    def beale():
+        T = np.array([[0.25, -8, -1, 9, 1, 0, 0, 0],
+                      [0.5, -12, -0.5, 3, 0, 1, 0, 0],
+                      [0, 0, 1, 0, 0, 0, 1, 1]], dtype=float)
+        z = np.array([-0.75, 20, -0.5, 6, 0, 0, 0, 0], dtype=float)
+        return T, z, np.array([4, 5, 6])
+
+    T, z, basis = beale()
+    solver._iterate(T, z, basis, 1000)
+    assert -z[-1] == pytest.approx(-1.25, abs=1e-12)
+    monkeypatch.setattr(solver, "BLAND_AFTER", 10 ** 9)
+    with pytest.raises(IterationLimit):
+        solver._iterate(*beale(), 1000)
+
+
+def _highs(linprog, num_vars, rows, objective, maximize):
+    a_ub, b_ub, a_eq, b_eq = [], [], [np.ones(num_vars)], [1.0]
+    for coeffs, op, rhs in rows:
+        if op == "=":
+            a_eq.append(coeffs)
+            b_eq.append(rhs)
+        else:
+            sign = 1.0 if op == "<=" else -1.0
+            a_ub.append(sign * coeffs)
+            b_ub.append(sign * rhs)
+    return linprog(-objective if maximize else objective,
+                   A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                   A_eq=np.array(a_eq), b_eq=b_eq,
+                   bounds=[(0, 0)] + [(0, None)] * (num_vars - 1), method="highs")
+
+
+def _violation(rows, x):
+    worst = max(-x.min(), abs(x.sum() - 1.0), abs(x[0]))
+    for coeffs, op, rhs in rows:
+        r = float(coeffs @ x) - rhs
+        worst = max(worst, abs(r) if op == "=" else r if op == "<=" else -r)
+    return worst
+
+
+def _shifted(rows, by):
+    """Every row moved outward by ``by``, or inward when it is negative;
+    an equality becomes a band when loosened."""
+    out = []
+    for coeffs, op, rhs in rows:
+        if op == "=":
+            out += [(coeffs, "<=", rhs + by), (coeffs, ">=", rhs - by)] if by > 0 else [
+                (coeffs, op, rhs)]
+        else:
+            out.append((coeffs, op, rhs + by if op == "<=" else rhs - by))
+    return out
+
+
+def _marginal(linprog, num_vars, rows):
+    """Feasibility flips when the rows move by 1e-6: HiGHS finds the
+    loosened rows feasible and the tightened rows infeasible."""
+    zero = np.zeros(num_vars)
+    return (_highs(linprog, num_vars, _shifted(rows, 1e-6), zero, False).status == 0
+            and _highs(linprog, num_vars, _shifted(rows, -1e-6), zero, False).status != 0)
+
+
+def test_agrees_with_highs_on_compiled_systems():
+    """Differential check against an independent LP solver.  The two may
+    disagree on feasibility only where a row is missed by less than 1e-6:
+    guard rows such as ``Bel(not B) <= 1 - 1e-9`` sit inside HiGHS's own
+    tolerance.  A numerical failure must raise, and only on such a
+    marginal system."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(31)
+    compared = margin_only = 0
+    for _ in range(80):
+        frame = random_frame(rng, max_points=6)
+        anchor = random_mass(frame, rng)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            s = random_subset(frame, rng)
+            g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.4 else None
+            try:
+                value = (anchor if g is None else anchor.condition(g)).belief(s)
+            except EngineError:
+                value = rng.random()
+            if rng.random() < 0.25:
+                value = rng.random()
+            given = "" if g is None else f" | {subset_formula(frame, g)}"
+            op = rng.choice(["=", "<=", ">=", "<", ">"])
+            cons.append(parse_constraint(
+                f"Bel({subset_formula(frame, s)}{given}) {op} {value!r}", frame))
+        system = compile_constraints(cons, frame)
+        rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
+        objective = system.bel_vector(random_subset(frame, rng).bits)
+        for maximize in (True, False):
+            try:
+                ours = solve(LinearProgram(system.mass_dim, rows, objective,
+                                           maximize=maximize, zero_vars=(0,)))
+            except SolverError:
+                assert _marginal(linprog, system.mass_dim, rows)
+                margin_only += 1
+                continue
+            theirs = _highs(linprog, system.mass_dim, rows, objective, maximize)
+            if ours.status == OPTIMAL and theirs.status == 0:
+                assert ours.value == pytest.approx(-theirs.fun if maximize else theirs.fun,
+                                                   abs=1e-6)
+                compared += 1
+            elif ours.status == OPTIMAL or theirs.status == 0:
+                point = ours.point if ours.status == OPTIMAL else theirs.x
+                assert _violation(rows, point) <= 1e-6
+                margin_only += 1
+    assert compared >= 60
+    assert margin_only <= compared // 4
