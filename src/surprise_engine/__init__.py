@@ -6,7 +6,7 @@ beliefs, minimum-commitment belief functions, and surprise ranges.
 """
 
 from .belief import MassFunction, belief_table, leq_committed, mobius_transform, zeta_transform
-from .calibration import CalibrationCurve, build_curve, to_surprise
+from .calibration import CalibrationCurve, build_curve
 from .constraints import (
     BelTerm,
     BoundsResult,

@@ -104,7 +104,3 @@ def build_curve(entries) -> CalibrationCurve:
             raise MonotonicityViolation(
                 f"surprise decreases from {n1!r} ({s1 * 10:g}) to {n2!r} ({s2 * 10:g})")
     return CalibrationCurve(tuple((r, s) for r, s, _ in anchors))
-
-
-def to_surprise(curve: CalibrationCurve, x: int, y: int) -> float:
-    return curve.to_surprise(x, y)

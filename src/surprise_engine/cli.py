@@ -263,12 +263,14 @@ class Repl:
             self.say(f"ERROR unknown command {cmd!r}; try 'help'")
         return False
 
-    def _check(self, report: bool = False) -> bool:
-        result = cons.feasible(self.scenario.system())
-        self.feasible = result.feasible
-        if report or not result.feasible:
-            self.say(f"CHECK {'feasible' if result.feasible else 'infeasible'}")
-        return result.feasible
+    def _check(self, report: bool = False) -> cons.CompiledSystem:
+        """Compile the constraints and check them; returns the compiled
+        system."""
+        system = self.scenario.system()
+        self.feasible = cons.feasible(system).feasible
+        if report or not self.feasible:
+            self.say(f"CHECK {'feasible' if self.feasible else 'infeasible'}")
+        return system
 
     def do_assume(self, text: str) -> None:
         if not text:
@@ -276,11 +278,11 @@ class Repl:
             return
         con = cons.parse_constraint(text, self.scenario.frame, self.scenario.config.constants)
         self.scenario.constraints.append(con)
-        if not self._check():
-            self.do_why()
+        system = self._check()
+        if not self.feasible:
+            self.do_why(system)
             return
         self.say(f"ASSUMED {len(self.scenario.constraints)}: {con.render(self.scenario.frame)}")
-        system = self.scenario.system()
         for qtext, old in list(self.bounds_cache.items()):
             try:
                 res = cons.bounds(system, self.query_terms[qtext])
@@ -322,11 +324,15 @@ class Repl:
         for line in _interval_result(key, res).text_lines():
             self.say(line)
 
-    def do_why(self) -> None:
-        system = self.scenario.system()
-        if cons.feasible(system).feasible:
-            self.say("CHECK feasible (nothing to explain)")
-            return
+    def do_why(self, infeasible: cons.CompiledSystem | None = None) -> None:
+        """Print an irreducible conflict.  ``infeasible`` is the compiled
+        scenario when it is already known to be infeasible."""
+        system = infeasible
+        if system is None:
+            system = self.scenario.system()
+            if cons.feasible(system).feasible:
+                self.say("CHECK feasible (nothing to explain)")
+                return
         core = cons.conflict_core(system)
         self.say("DIAGNOSTIC irreducible conflicting constraints")
         for i in core:

@@ -12,8 +12,15 @@ Unconditional terms are linear in the mass vector directly.  A single
 conditional term against constants is cleared of its denominator through
 ``Bel(A|B) = (Bel(A or not B) - Bel(not B)) / (1 - Bel(not B))``.  An
 equality between two terms of which at least one is conditional gets a
-scalar parameter for the shared value; parameters are resolved by an
-interval branch-and-prune sweep over their [0,1] domains.
+scalar parameter for the shared value.
+
+Feasibility, bounds and the lower envelope share one depth-first
+branch-and-prune over the box of parameter values, in which each cell
+relaxes the parameterized rows to interval rows; a parameter-free system
+is the zero-dimensional box.  A query is a quotient of two linear
+functions of the mass vector, and each end of its bounds is the best
+optimum of that quotient over the leaves of the box, found by
+Dinkelbach's method with the LPs of the kernel.
 """
 
 from __future__ import annotations
@@ -32,16 +39,16 @@ from .errors import (
     ConstraintError,
     FrameTooLarge,
     InfeasibleSystem,
+    InvalidMassFunction,
     QueryUndefinedEverywhere,
-    SolverError,
 )
 from .frames import Formula, Not, ProductFrame, extension_bits, parse_formula, pretty
-from .solver import FEASIBLE, INFEASIBLE, LinearProgram, SolveResult, solve
+from .solver import INFEASIBLE, LinearProgram, SolveResult, solve
 
 EPS_STRICT = 1e-6
 EPS_GUARD = 1e-9
-# Query bisection needs the conditioning normalizer to sit above LP noise,
-# otherwise cleared rows lose meaning near Bel(not g) = 1.
+# Bounds keep a query's conditioning normalizer 1 - Bel(not g) above LP
+# noise; the quotient it divides is undefined at Bel(not g) = 1.
 EPS_QUERY_GUARD = 1e-6
 DEFAULT_GRID = 256
 DEFAULT_MAX_PARAMETERS = 2
@@ -296,8 +303,6 @@ class CompiledSystem:
     static_rows: list[StaticRow]
     param_rows: list[ParamRow]
     num_params: int
-    eps_strict: float = EPS_STRICT
-    eps_guard: float = EPS_GUARD
     grid: int = DEFAULT_GRID
     _vec_cache: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -329,8 +334,6 @@ def _subset_indicator(bits: int, mass_dim: int) -> np.ndarray:
 def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, *,
                         max_theta: int = DEFAULT_COMPILE_MAX_THETA,
                         max_parameters: int = DEFAULT_MAX_PARAMETERS,
-                        eps_strict: float = EPS_STRICT,
-                        eps_guard: float = EPS_GUARD,
                         grid: int = DEFAULT_GRID) -> CompiledSystem:
     """Lower constraints to rows over the mass vector.
 
@@ -342,17 +345,16 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
         raise FrameTooLarge(
             f"frame has {frame.theta_size} points; compile cap is {max_theta} "
             f"(mass vector would have {1 << frame.theta_size} coordinates)")
-    system = CompiledSystem(frame, tuple(constraints), [], [], 0,
-                            eps_strict=eps_strict, eps_guard=eps_guard, grid=grid)
+    system = CompiledSystem(frame, tuple(constraints), [], [], 0, grid=grid)
     guard_bits: dict[int, int | str] = {}
     num_params = 0
     for idx, con in enumerate(constraints):
         relop, const = con.relop, con.const
         strict = relop in ("<", ">")
         if relop == "<":
-            relop, const = "<=", const - eps_strict
+            relop, const = "<=", const - EPS_STRICT
         elif relop == ">":
-            relop, const = ">=", const + eps_strict
+            relop, const = ">=", const + EPS_STRICT
 
         conditionals = [(c, t) for c, t in con.terms if t.evidence is not None]
         for _, term in conditionals:
@@ -397,7 +399,7 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
 
     for bits, origin in guard_bits.items():
         system.static_rows.append(
-            StaticRow(system.bel_vector(bits), "<=", 1.0 - eps_guard, f"guard:{origin}"))
+            StaticRow(system.bel_vector(bits), "<=", 1.0 - EPS_GUARD, f"guard:{origin}"))
     system.num_params = num_params
     return system
 
@@ -439,18 +441,14 @@ class BoundsResult:
         return iter((self.lo, self.hi))
 
 
-def _static_lp_rows(system: CompiledSystem,
-                    extra: Iterable[tuple[np.ndarray, str, float]]) -> list:
+def _rows(system: CompiledSystem, extra: Iterable[tuple[np.ndarray, str, float]],
+          cells: Sequence[tuple[float, float]]) -> list:
+    """LP rows of the system over a box of parameter values: the static
+    rows, the ``extra`` rows, and the interval relaxation of each
+    parameterized row.  ``L + t*R = 0`` with ``R <= 0`` holds for some
+    ``t`` in ``[lo, hi]`` iff ``L + lo*R >= 0`` and ``L + hi*R <= 0``."""
     rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
     rows.extend(extra)
-    return rows
-
-
-def _cell_rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
-    """Interval relaxation of the parameterized rows over a box of
-    parameter values.  ``L + t*R = 0`` with ``R <= 0`` holds for some
-    ``t`` in ``[lo, hi]`` iff ``L + lo*R >= 0`` and ``L + hi*R <= 0``."""
-    rows = []
     for pr in system.param_rows:
         lo, hi = cells[pr.param]
         rows.append((pr.l_coeffs + lo * pr.r_coeffs, ">=", pr.l_const + lo * pr.r_const))
@@ -458,67 +456,58 @@ def _cell_rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> 
     return rows
 
 
-def _probe(system: CompiledSystem, extra, cells=None, objective=None,
-           maximize=True, lenient=False, start=None) -> SolveResult:
-    rows = _static_lp_rows(system, extra)
-    if cells is not None:
-        rows.extend(_cell_rows(system, cells))
-    lp = LinearProgram(system.mass_dim, rows, objective, maximize=maximize, zero_vars=(0,))
-    try:
-        return solve(lp, start=start)
-    except SolverError:
-        if not lenient:
-            raise
-        # Bisection probes at margins below LP resolution are genuinely
-        # undecidable; counting them infeasible keeps reported bounds at
-        # oracle-attained values, which is the sound direction.
-        return SolveResult(INFEASIBLE)
+def _probe(system: CompiledSystem, extra, cells=(), objective=None,
+           maximize=True, start=None) -> SolveResult:
+    lp = LinearProgram(system.mass_dim, _rows(system, extra, cells), objective,
+                       maximize=maximize, zero_vars=(0,))
+    return solve(lp, start=start)
 
 
-def _search_cells(system: CompiledSystem, extra, lenient=False) -> tuple[SolveResult, tuple] | None:
-    """Depth-first branch-and-prune over the parameter box.  Returns the
-    solver result and the surviving (fully refined) cell, or ``None``."""
-    k = system.num_params
-    stack = [tuple((0.0, 1.0) for _ in range(k))]
+def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
+            width: float = _MIN_CELL_WIDTH, keep=None, objective=None):
+    """Depth-first branch-and-prune over the parameter box, which is
+    zero-dimensional when the system has no parameter.
+
+    Yields ``(result, cell)`` for each feasible cell of ``box`` (default:
+    the whole box) no wider than ``width``, lower halves first, with the
+    solve of the cell's rows that found it feasible; the solve of such a
+    cell minimizes ``objective`` when one is given.  A wider feasible cell
+    is split along its widest side unless ``keep(cell)`` is false.
+    """
+    stack = [tuple((0.0, 1.0) for _ in range(system.num_params)) if box is None else box]
     probes = 0
     while stack:
         cells = stack.pop()
         probes += 1
         if probes > _PROBE_CAP:
             raise CompileError("parameter sweep exceeded its probe budget")
-        res = _probe(system, extra, cells, lenient=lenient)
+        widths = [hi - lo for lo, hi in cells]
+        leaf = max(widths, default=0.0) <= width
+        res = _probe(system, extra, cells, objective=objective if leaf else None,
+                     maximize=False)
         if res.status == INFEASIBLE:
             continue
-        widths = [hi - lo for lo, hi in cells]
-        widest = max(range(k), key=lambda i: widths[i])
-        if widths[widest] <= _MIN_CELL_WIDTH:
-            return res, cells
+        if leaf:
+            yield res, cells
+            continue
+        if keep is not None and not keep(cells):
+            continue
+        widest = widths.index(max(widths))
         lo, hi = cells[widest]
         mid = 0.5 * (lo + hi)
-        upper = cells[:widest] + ((mid, hi),) + cells[widest + 1:]
-        lower = cells[:widest] + ((lo, mid),) + cells[widest + 1:]
-        stack.append(upper)
-        stack.append(lower)  # explored first
-    return None
-
-
-def _feasible_probe(system: CompiledSystem, extra=(),
-                    lenient=False) -> tuple[SolveResult, tuple | None] | None:
-    if system.num_params == 0:
-        res = _probe(system, extra, lenient=lenient)
-        return None if res.status == INFEASIBLE else (res, None)
-    return _search_cells(system, extra, lenient=lenient)
+        stack.append(cells[:widest] + ((mid, hi),) + cells[widest + 1:])
+        stack.append(cells[:widest] + ((lo, mid),) + cells[widest + 1:])  # explored first
 
 
 def feasible(system: CompiledSystem) -> FeasibilityResult:
     """Is any belief function consistent with the system?  Returns a
     witness mass function when so."""
-    found = _feasible_probe(system)
-    if found is None:
+    leaf = next(_leaves(system), None)
+    if leaf is None:
         return FeasibilityResult(False)
-    res, cells = found
+    res, cells = leaf
     witness = MassFunction.from_vector(system.frame, res.point)
-    params = None if cells is None else tuple(0.5 * (lo + hi) for lo, hi in cells)
+    params = tuple(0.5 * (lo + hi) for lo, hi in cells) if cells else None
     return FeasibilityResult(True, witness, params)
 
 
@@ -529,26 +518,11 @@ def _term_bits(system: CompiledSystem, term: BelTerm) -> tuple[int, int | None]:
     return f_bits, extension_bits(system.frame, term.evidence)
 
 
-def _query_row(system: CompiledSystem, term: BelTerm, relop: str, v: float):
-    f_bits, g_bits = _term_bits(system, term)
-    if g_bits is None:
-        return (system.bel_vector(f_bits), relop, v)
-    not_g = system.frame.full_bits ^ g_bits
-    coeffs = system.bel_vector(f_bits | not_g) + (v - 1.0) * system.bel_vector(not_g)
-    return (coeffs, relop, v)
-
-
-def _oracle_value(system: CompiledSystem, term: BelTerm, witness: MassFunction,
-                  fallback: float | None = None) -> float:
+def _oracle_value(system: CompiledSystem, term: BelTerm, witness: MassFunction) -> float:
     f_bits, g_bits = _term_bits(system, term)
     m = witness
     if g_bits is not None:
-        try:
-            m = m.condition(system.frame.subset(g_bits))
-        except ConditioningUndefined:
-            if fallback is None:
-                raise
-            return fallback
+        m = m.condition(system.frame.subset(g_bits))
     return m.belief(system.frame.subset(f_bits))
 
 
@@ -562,88 +536,100 @@ def _open_flag(system: CompiledSystem, point: np.ndarray | None) -> bool:
     return False
 
 
-def bounds(system: CompiledSystem, query: BelTerm, *, iters: int = 30) -> BoundsResult:
+def _level(system: CompiledSystem, extra, cells, num: np.ndarray, den: np.ndarray,
+           v: float) -> tuple[float, SolveResult]:
+    """One step of Dinkelbach's method: maximize ``num - v*den`` over the
+    cell's rows and return the quotient ``num/den`` at the optimum with
+    the solve.  The solve starts cold: a start's basis is refactored
+    against every column, which on the widest frames holds several
+    copies of the tableau at once."""
+    res = _probe(system, extra, cells, objective=num - v * den)
+    return float(num @ res.point) / float(den @ res.point), res
+
+
+def _quotient_max(system: CompiledSystem, extra, cells, num: np.ndarray, den: np.ndarray,
+                  v: float) -> tuple[float, SolveResult] | None:
+    """Dinkelbach's method (Dinkelbach 1967) for the largest ``num/den``
+    over the cell's rows, from the level ``v``: each step moves ``v`` to
+    the quotient at the optimum of ``num - v*den``, until ``v`` stops
+    improving.  Returns the best ``(quotient, result)`` above ``v``, or
+    ``None`` when no point of the cell beats ``v``."""
+    # A den that is constant on the mass simplex makes the quotient linear,
+    # and then the first optimum is exact.
+    linear = np.ptp(den[1:]) == 0.0
+    best = None
+    while True:
+        q, res = _level(system, extra, cells, num, den, v)
+        if q <= v:
+            return best
+        v, best = q, (q, res)
+        if linear:
+            return best
+
+
+def _best_leaf(system: CompiledSystem, extra, num: np.ndarray,
+               den: np.ndarray) -> tuple[float, SolveResult] | None:
+    """The largest ``num/den`` over the leaves of the parameter box, with
+    its solve, or ``None`` when no cell is feasible.  A cell is dropped
+    when its relaxed optimum cannot beat the best leaf so far: the
+    interval rows relax the parameter rows, so that optimum bounds the
+    cell from outside."""
+    best = None
+
+    def promising(cells: tuple) -> bool:
+        return best is None or _level(system, extra, cells, num, den, best[0])[0] > best[0]
+
+    for res, cells in _leaves(system, extra, keep=promising):
+        if best is None:
+            v = float(num @ res.point) / float(den @ res.point)
+            best = _quotient_max(system, extra, cells, num, den, v) or (v, res)
+        else:
+            best = _quotient_max(system, extra, cells, num, den, best[0]) or best
+    return best
+
+
+def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     """Tight range of the query value over every belief function (and
     parameter value) satisfying the system.
 
-    Unconditional queries on parameter-free systems are two LP solves;
-    conditional queries go through bisection on the query value with the
-    cleared conditional row added at each probe.
+    ``Bel(f | g)`` is the quotient ``num(m) / den(m)`` with ``num =
+    Bel(f or not g) - Bel(not g)`` and ``den = 1 - Bel(not g)``, kept
+    above ``EPS_QUERY_GUARD``; an unconditional query has ``not g``
+    empty, so ``den`` is 1.  Each end is the best optimum of that quotient
+    over the leaves of the parameter box, found by Dinkelbach's method,
+    and is reported as the value its witness attains.
     """
-    guard_extra = []
-    if query.evidence is not None:
-        g = extension_bits(system.frame, query.evidence)
-        guard_extra.append((system.bel_vector(system.frame.full_bits ^ g), "<=",
-                            1.0 - EPS_QUERY_GUARD))
-    base = _feasible_probe(system, tuple(guard_extra))
-    if base is None:
-        if _feasible_probe(system) is None:
-            raise InfeasibleSystem("the constraint system is infeasible")
-        raise QueryUndefinedEverywhere(
-            f"every feasible belief function makes {query.render(system.frame)} undefined")
+    f_bits, g_bits = _term_bits(system, query)
+    not_g = 0 if g_bits is None else system.frame.full_bits ^ g_bits
+    bel_not_g = system.bel_vector(not_g)
+    num = system.bel_vector(f_bits | not_g) - bel_not_g
+    den = 1.0 - bel_not_g  # every row set holds sum(m) = 1
+    extra = () if g_bits is None else ((bel_not_g, "<=", 1.0 - EPS_QUERY_GUARD),)
 
-    if system.num_params == 0 and query.evidence is None:
-        objective = system.bel_vector(extension_bits(system.frame, query.target))
-        hi_res = _probe(system, (), objective=objective, maximize=True)
-        lo_res = _probe(system, (), objective=objective, maximize=False)
-        w_hi = MassFunction.from_vector(system.frame, hi_res.point)
-        w_lo = MassFunction.from_vector(system.frame, lo_res.point)
-        lo = min(max(_oracle_value(system, query, w_lo), 0.0), 1.0)
-        hi = min(max(_oracle_value(system, query, w_hi), 0.0), 1.0)
-        return BoundsResult(lo, hi, _open_flag(system, lo_res.point),
-                            _open_flag(system, hi_res.point), w_lo, w_hi)
-
-    def probe(relop: str, v: float):
-        extra = tuple(guard_extra) + (_query_row(system, query, relop, v),)
-        return _feasible_probe(system, extra, lenient=True)
-
-    def bisect(relop: str, start_feasible: float, start_infeasible: float):
-        a, b = start_feasible, start_infeasible
-        found = probe(relop, a)
-        if found is None:
-            raise SolverError("bisection endpoint probe lost feasibility; "
-                              "the system is numerically degenerate")
-        best = found
-        for _ in range(iters):
-            mid = 0.5 * (a + b)
-            found = probe(relop, mid)
-            if found is None:
-                b = mid
-            else:
-                a = mid
-                best = found
-        return a, best
-
-    # Upper end: largest v with some feasible Bel >= v.
-    at_one = probe(">=", 1.0)
-    if at_one is not None:
-        hi_val, hi_found = 1.0, at_one
-    else:
-        hi_val, hi_found = bisect(">=", 0.0, 1.0)
-    # Lower end: smallest v with some feasible Bel <= v.
-    at_zero = probe("<=", 0.0)
-    if at_zero is not None:
-        lo_val, lo_found = 0.0, at_zero
-    else:
-        lo_val, lo_found = bisect("<=", 1.0, 0.0)
-
-    # Report the oracle values the witnesses actually attain: bisection
-    # probe levels can overshoot by (LP residual / normalizer) when the
-    # evidence guard binds, while attained values are always sound.
-    w_hi = MassFunction.from_vector(system.frame, hi_found[0].point)
-    w_lo = MassFunction.from_vector(system.frame, lo_found[0].point)
-    hi = min(max(_oracle_value(system, query, w_hi, fallback=hi_val), 0.0), 1.0)
-    lo = min(max(_oracle_value(system, query, w_lo, fallback=lo_val), 0.0), 1.0)
+    found = []
+    for sign in (1.0, -1.0):
+        best = _best_leaf(system, extra, sign * num, den)
+        if best is None:
+            if next(_leaves(system), None) is None:
+                raise InfeasibleSystem("the constraint system is infeasible")
+            raise QueryUndefinedEverywhere(
+                f"every feasible belief function makes {query.render(system.frame)} undefined")
+        found.append(best[1])
+    hi_res, lo_res = found
+    w_hi = MassFunction.from_vector(system.frame, hi_res.point)
+    w_lo = MassFunction.from_vector(system.frame, lo_res.point)
+    hi = min(max(_oracle_value(system, query, w_hi), 0.0), 1.0)
+    lo = min(max(_oracle_value(system, query, w_lo), 0.0), 1.0)
     lo = min(lo, hi)
-    return BoundsResult(lo, hi, _open_flag(system, lo_found[0].point),
-                        _open_flag(system, hi_found[0].point), w_lo, w_hi)
+    return BoundsResult(lo, hi, _open_flag(system, lo_res.point),
+                        _open_flag(system, hi_res.point), w_lo, w_hi)
 
 
 def surprise_report(system: CompiledSystem, event: Formula,
-                    evidence: Formula | None = None, *, iters: int = 30) -> BoundsResult:
+                    evidence: Formula | None = None) -> BoundsResult:
     """Guaranteed range of surprise upon the event occurring: the bounds
     of belief in the event's negation, under the optional evidence."""
-    return bounds(system, BelTerm(Not(event), evidence), iters=iters)
+    return bounds(system, BelTerm(Not(event), evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -651,84 +637,37 @@ def surprise_report(system: CompiledSystem, event: Formula,
 
 def lower_envelope(system: CompiledSystem) -> np.ndarray:
     """Pointwise minimum of ``Bel`` over the feasible set, indexed by
-    subset bitmask.  One LP per subset and surviving parameter cell; only
-    the first LP of a cell runs phase 1, the others start from its basis."""
+    subset bitmask.  One leaf is taken inside each feasible parameter cell
+    at grid resolution.  The solve that finds a leaf feasible minimizes
+    the first subset's belief, and the other subsets' LPs over that leaf
+    start from it."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope needs 2^{n} solves; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
     env = np.ones(full + 1)
     env[0] = 0.0
-    boxes = [None] if system.num_params == 0 else _surviving_leaves(system)
-    infeasible = 0
-    for cells in boxes:
-        start = None
-        for s in range(1, full):
-            res = _probe(system, (), cells, objective=system.bel_vector(s), maximize=False,
-                         start=start)
-            if res.status == INFEASIBLE:
-                infeasible += 1
-                break
-            if start is None:
-                start = res
-            env[s] = min(env[s], res.value)
-    if infeasible == len(boxes):
+    first = system.bel_vector(1)
+    leaves = 0
+    for res, cells in _leaves(system, width=1.0 / system.grid, objective=first):
+        if system.num_params:
+            leaf = next(_leaves(system, box=cells, objective=first), None)
+            if leaf is None:
+                continue
+            res, cells = leaf
+        leaves += 1
+        if leaves > _LEAF_CAP:
+            raise CompileError(
+                "parameter space has too many feasible cells for an "
+                "exhaustive envelope; tighten the constraints")
+        env[1] = min(env[1], res.value)
+        for s in range(2, full):
+            low = _probe(system, (), cells, objective=system.bel_vector(s), maximize=False,
+                         start=res)
+            env[s] = min(env[s], low.value)
+    if not leaves:
         raise InfeasibleSystem("the constraint system is infeasible")
     return np.clip(env, 0.0, 1.0)
-
-
-def _surviving_leaves(system: CompiledSystem) -> list[tuple]:
-    """All parameter cells at grid resolution that stay feasible after
-    refinement to the width floor."""
-    k = system.num_params
-    grid_width = 1.0 / system.grid
-    coarse = [tuple((0.0, 1.0) for _ in range(k))]
-    probes = 0
-    leaves = []
-    while coarse:
-        cells = coarse.pop()
-        probes += 1
-        if probes > _PROBE_CAP:
-            raise CompileError("parameter sweep exceeded its probe budget")
-        res = _probe(system, (), cells)
-        if res.status == INFEASIBLE:
-            continue
-        widths = [hi - lo for lo, hi in cells]
-        widest = max(range(k), key=lambda i: widths[i])
-        if widths[widest] <= grid_width:
-            refined = _refine_leaf(system, cells)
-            if refined is not None:
-                leaves.append(refined)
-                if len(leaves) > _LEAF_CAP:
-                    raise CompileError(
-                        "parameter space has too many feasible cells for an "
-                        "exhaustive envelope; tighten the constraints")
-            continue
-        lo, hi = cells[widest]
-        mid = 0.5 * (lo + hi)
-        coarse.append(cells[:widest] + ((mid, hi),) + cells[widest + 1:])
-        coarse.append(cells[:widest] + ((lo, mid),) + cells[widest + 1:])
-    return leaves
-
-
-def _refine_leaf(system: CompiledSystem, cells: tuple) -> tuple | None:
-    k = system.num_params
-    while True:
-        widths = [hi - lo for lo, hi in cells]
-        widest = max(range(k), key=lambda i: widths[i])
-        if widths[widest] <= _MIN_CELL_WIDTH:
-            return cells
-        lo, hi = cells[widest]
-        mid = 0.5 * (lo + hi)
-        survivor = None
-        for half in ((lo, mid), (mid, hi)):
-            trial = cells[:widest] + (half,) + cells[widest + 1:]
-            if _probe(system, (), trial).status != INFEASIBLE:
-                survivor = trial
-                break
-        if survivor is None:
-            return None
-        cells = survivor
 
 
 def evaluate_term(mass: MassFunction, term: BelTerm) -> float:
@@ -742,7 +681,7 @@ def evaluate_term(mass: MassFunction, term: BelTerm) -> float:
 
 
 def constraint_satisfied(mass: MassFunction, constraint: Constraint, *,
-                         eps_strict: float = EPS_STRICT, tol: float = 1e-6) -> bool:
+                         tol: float = 1e-6) -> bool:
     """Check a constraint against a mass function by direct evaluation."""
     try:
         lhs = fsum(coef * evaluate_term(mass, term) for coef, term in constraint.terms)
@@ -757,8 +696,8 @@ def constraint_satisfied(mass: MassFunction, constraint: Constraint, *,
     if op == ">=":
         return lhs >= c - tol
     if op == "<":
-        return lhs <= c - eps_strict + tol
-    return lhs >= c + eps_strict - tol
+        return lhs <= c - EPS_STRICT + tol
+    return lhs >= c + EPS_STRICT - tol
 
 
 def mincommit(system: CompiledSystem) -> MassFunction | None:
@@ -788,10 +727,10 @@ def envelope_mass(system: CompiledSystem, env: np.ndarray) -> MassFunction | Non
         return None
     try:
         mass = MassFunction.from_vector(system.frame, candidate / total)
-    except Exception:
+    except InvalidMassFunction:
         return None
     for con in system.constraints:
-        if not constraint_satisfied(mass, con, eps_strict=system.eps_strict):
+        if not constraint_satisfied(mass, con):
             return None
     return mass
 
@@ -806,9 +745,8 @@ def conflict_core(system: CompiledSystem) -> list[int]:
         sub = compile_constraints([system.constraints[i] for i in subset], system.frame,
                                   max_theta=system.frame.theta_size,
                                   max_parameters=max(system.num_params, DEFAULT_MAX_PARAMETERS),
-                                  eps_strict=system.eps_strict,
-                                  eps_guard=system.eps_guard, grid=system.grid)
-        return _feasible_probe(sub) is not None
+                                  grid=system.grid)
+        return next(_leaves(sub), None) is not None
 
     core = list(range(len(system.constraints)))
     for idx in list(core):

@@ -67,14 +67,15 @@ class ProductFrame:
         for i in range(len(names) - 2, -1, -1):
             strides[i] = strides[i + 1] * len(values[i + 1])
         self._strides = tuple(strides)
-        # precomputed so instances stay strictly immutable after construction
+        # precomputed so instances stay strictly immutable after construction;
+        # the points where variable ``pos`` takes its value ``digit`` form a
+        # block of ``stride`` ones, repeated every ``stride * width`` points
         atom_bits: dict[tuple[int, int], int] = {}
         for pos, frame_values in enumerate(values):
             stride, width = strides[pos], len(frame_values)
-            for idx in range(size):
-                digit = (idx // stride) % width
-                key = (pos, digit)
-                atom_bits[key] = atom_bits.get(key, 0) | (1 << idx)
+            repeat = ((1 << size) - 1) // ((1 << stride * width) - 1)
+            for digit in range(width):
+                atom_bits[(pos, digit)] = (((1 << stride) - 1) << (digit * stride)) * repeat
         self._atom_bits = atom_bits
 
     # -- variable/value lookup -------------------------------------------
@@ -318,19 +319,6 @@ def extension_bits(frame: ProductFrame, formula: Formula) -> int:
     if isinstance(formula, Implies):
         return (frame.full_bits ^ extension_bits(frame, formula.left)) | extension_bits(frame, formula.right)
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def validate_formula(frame: ProductFrame, formula: Formula) -> None:
-    """Raise :class:`FormulaError` unless every atom is declared in the frame."""
-    if isinstance(formula, Atom):
-        frame.value_index(formula.var, formula.value)
-    elif isinstance(formula, Not):
-        validate_formula(frame, formula.child)
-    elif isinstance(formula, (Or, And, Implies)):
-        validate_formula(frame, formula.left)
-        validate_formula(frame, formula.right)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from surprise_engine import (
     MonotonicityViolation,
     RatioOutOfRange,
     build_curve,
-    to_surprise,
 )
 
 BILLION = 10 ** 9
@@ -79,9 +78,6 @@ class TestToSurprise:
     def test_out_of_range(self, curve):
         with pytest.raises(RatioOutOfRange):
             curve.to_surprise(2 * BILLION, 1)
-
-    def test_module_function_alias(self, curve):
-        assert to_surprise(curve, 51, 43) == 0.4
 
     def test_interpolation_between_anchors(self):
         # two interior anchors, query between them in log space

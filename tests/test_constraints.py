@@ -10,13 +10,17 @@ from surprise_engine import (
     BelTerm,
     CompileError,
     ConstraintError,
+    EngineError,
+    InfeasibleSystem,
     MassFunction,
     ProductFrame,
     QueryUndefinedEverywhere,
+    SolverError,
     bounds,
     compile_constraints,
     conflict_core,
     constraint_satisfied,
+    constraints,
     evaluate_term,
     extension,
     feasible,
@@ -291,6 +295,109 @@ class TestBounds:
         res = bounds(system, term(frame, "A"))
         assert res.hi == pytest.approx(0.5, abs=1e-5)
         assert res.hi_open
+
+    def test_adding_a_row_never_raises_the_upper_end(self):
+        # The three-row witness of the upper end must not stop at the query
+        # guard Bel(not B) <= 1 - 1e-6 when a better point exists: the
+        # four-row witness also meets the three rows.
+        frame = ProductFrame([(v, ("Yes", "No")) for v in ("R", "W", "C")])
+        rows = ["Bel(not (C and (R or not W))) = 0.23241762031923574",
+                "Bel(not (not W and (R or not C))) = 0.6174807781386977",
+                "Bel(not (not W and not (R and C)) | not R and not (W and C)) "
+                "= 0.44111563080845473"]
+        fourth = "Bel(not (R and W and not C)) = 0.15010160154206656"
+        q = term(frame, "R and W or not R and C", "W and not C or R and not W and C")
+        three = bounds(compile_constraints([parse_constraint(t, frame) for t in rows], frame), q)
+        four = bounds(compile_constraints([parse_constraint(t, frame) for t in rows + [fourth]],
+                                          frame), q)
+        assert three.hi >= four.hi - 1e-9
+        assert three.lo <= four.lo + 1e-9
+
+    def test_solver_error_propagates(self, monkeypatch):
+        frame = ProductFrame([("M", ("Yes", "No")), ("P", ("Yes", "No"))])
+        system = compile_constraints([parse_constraint("Bel(M | P) >= 0.3", frame)], frame)
+        calls = []
+        solve = constraints.solve
+
+        def failing_third(lp, *args, **kwargs):
+            calls.append(lp)
+            if len(calls) == 3:
+                raise SolverError("injected failure")
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(constraints, "solve", failing_third)
+        with pytest.raises(SolverError, match="injected failure"):
+            bounds(system, term(frame, "M", "P"))
+
+    def test_matches_charnes_cooper_lp_solved_by_highs(self):
+        """On random parameter-free systems whose rows hold at an anchor
+        mass function, both ends equal the optimum of the Charnes-Cooper
+        form of the query, solved by an independent LP solver; the query
+        is undefined everywhere exactly when that LP is infeasible."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(1)
+        compared = 0
+        for _ in range(150):
+            frame = random_frame(rng, max_points=6)
+            anchor = random_mass(frame, rng)
+            cons = []
+            for _ in range(rng.randint(1, 5)):
+                s = random_subset(frame, rng)
+                g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.4 else None
+                try:
+                    value = (anchor if g is None else anchor.condition(g)).belief(s)
+                except EngineError:
+                    continue
+                given = "" if g is None else f" | {subset_formula(frame, g)}"
+                op = rng.choice(["=", "<=", ">="])
+                cons.append(parse_constraint(
+                    f"Bel({subset_formula(frame, s)}{given}) {op} {value!r}", frame))
+            system = compile_constraints(cons, frame)
+            f = random_subset(frame, rng)
+            g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.7 else None
+            q = BelTerm(parse_formula(subset_formula(frame, f), frame),
+                        None if g is None else parse_formula(subset_formula(frame, g), frame))
+            theirs = [_charnes_cooper(linprog, system, f.bits, g, maximize)
+                      for maximize in (False, True)]
+            try:
+                res = bounds(system, q)
+            except (InfeasibleSystem, QueryUndefinedEverywhere):
+                assert theirs == [None, None]
+                continue
+            assert res.lo == pytest.approx(theirs[0], abs=1e-7)
+            assert res.hi == pytest.approx(theirs[1], abs=1e-7)
+            compared += 1
+        assert compared >= 140
+
+
+def _charnes_cooper(linprog, system, f_bits, evidence, maximize):
+    """Optimum of Bel(f | g) = num(m) / den(m) over the system's rows,
+    with the query guard, as one LP in y = t*m and t = 1/den(m)."""
+    not_g = 0 if evidence is None else system.frame.full_bits ^ evidence.bits
+    bel_not_g = system.bel_vector(not_g)
+    num = system.bel_vector(f_bits | not_g) - bel_not_g
+    rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
+    if evidence is not None:
+        rows.append((bel_not_g, "<=", 1.0 - constraints.EPS_QUERY_GUARD))
+    a_ub, b_ub = [], []
+    a_eq = [np.append(np.ones(system.mass_dim), -1.0), np.append(1.0 - bel_not_g, 0.0)]
+    b_eq = [0.0, 1.0]
+    for coeffs, op, const in rows:
+        homogeneous = np.append(coeffs, -const)
+        if op == "=":
+            a_eq.append(homogeneous)
+            b_eq.append(0.0)
+        else:
+            a_ub.append(homogeneous if op == "<=" else -homogeneous)
+            b_ub.append(0.0)
+    objective = np.append(num, 0.0)
+    out = linprog(-objective if maximize else objective,
+                  A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                  A_eq=np.array(a_eq), b_eq=b_eq,
+                  bounds=[(0, 0)] + [(0, None)] * system.mass_dim, method="highs")
+    if out.status != 0:
+        return None
+    return -out.fun if maximize else out.fun
 
 
 class TestCompilerOracleEquivalence:

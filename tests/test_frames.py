@@ -60,6 +60,15 @@ class TestProductFrame:
         # configurable
         ProductFrame([(f"V{i}", ("Yes", "No")) for i in range(17)], max_theta=1 << 17)
 
+    def test_atom_masks_match_point_values(self):
+        frame = ProductFrame([("A", ("a0", "a1", "a2")),
+                              ("B", tuple(f"b{i}" for i in range(5))),
+                              ("C", tuple(f"c{i}" for i in range(7)))])
+        for name in frame.names:
+            for value in frame.values(name):
+                expected = sum(1 << p for p in frame.points() if frame.value_at(p, name) == value)
+                assert frame.atom_bits(name, value) == expected
+
     def test_subset_algebra(self, booleans):
         s = booleans.subset(0b0011)
         t = booleans.subset(0b0110)

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from surprise_engine import ScenarioError, bounds, compile_constraints, constraints, feasible
-from surprise_engine.cli import EXIT_INFEASIBLE, Repl, bundled_scenario, main
+from surprise_engine import scenario as scenario_module
+from surprise_engine.cli import EXIT_INFEASIBLE, EXIT_OK, Repl, bundled_scenario, main
 from surprise_engine.scenario import load_scenario, parse_scenario
 
 CORPUS = ["hire.bel", "nixon.bel", "temperature.bel", "window.bel", "bunker.bel", "bird.bel"]
@@ -206,10 +207,7 @@ class TestOverCommittedBunker:
             assert feasible(compile_constraints(rest, sc.frame)).feasible
 
 
-def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "refuse.bel"
-    path.write_text("[variables]\nX: a, b, c\n\n[constraints]\n"
-                    "Bel(X=a or X=b) = 1\nBel(X=a) + Bel(X=b) = 1\n")
+def _counting_solves(monkeypatch) -> list:
     solves = []
     solve = constraints.solve
 
@@ -218,6 +216,14 @@ def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypa
         return solve(lp, *args, **kwargs)
 
     monkeypatch.setattr(constraints, "solve", counting)
+    return solves
+
+
+def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "refuse.bel"
+    path.write_text("[variables]\nX: a, b, c\n\n[constraints]\n"
+                    "Bel(X=a or X=b) = 1\nBel(X=a) + Bel(X=b) = 1\n")
+    solves = _counting_solves(monkeypatch)
     assert main(["mincommit", str(path)]) == EXIT_INFEASIBLE
     assert len(solves) == 2 ** 3 - 2
     assert capsys.readouterr().out.splitlines() == [
@@ -226,6 +232,40 @@ def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypa
         "MASS {(X=a), (X=b)} = 1",
         "MASS {(X=a), (X=b), (X=c)} = 1",
     ]
+
+
+def test_bunker_bounds_lp_budget(capsys, monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    assert main(["bounds", str(bundled_scenario("bunker.bel"))]) == EXIT_OK
+    assert capsys.readouterr().out == "QUERY military_given_both = [0.88, 0.88]\n"
+    assert len(solves) <= 600
+
+
+SIX_VALUES = "[variables]\nV0: v0, v1, v2, v3, v4, v5\n\n[constraints]\n"
+
+
+def _json_bounds(capsys, tmp_path, rows, query):
+    path = tmp_path / "six.bel"
+    path.write_text(SIX_VALUES + "\n".join(rows) + "\n")
+    assert main(["bounds", str(path), query, "--format", "json-lines"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def test_upper_end_reaches_one(capsys, tmp_path):
+    out = _json_bounds(capsys, tmp_path, [
+        "Bel(V0 = v0 or V0 = v1 or V0 = v2 or V0 = v3 or V0 = v4 | V0 = v1 or V0 = v4 or V0 = v5)"
+        " <= 0.008862572203884112",
+        "Bel(V0 = v1 or V0 = v2) >= 0.0",
+    ], "Bel(V0 = v2 or V0 = v3 | V0 = v0 or V0 = v2 or V0 = v4 or V0 = v5)")
+    assert out["hi"] >= 1 - 1e-8
+
+
+def test_upper_end_stays_at_zero(capsys, tmp_path):
+    out = _json_bounds(capsys, tmp_path, [
+        "Bel(V0 = v3 or V0 = v4 or V0 = v5) = 1.0",
+        "Bel(V0 = v0 or V0 = v4 or V0 = v5) = 1.0",
+    ], "Bel(V0 = v1 or V0 = v2 or V0 = v3 | V0 = v0 or V0 = v3 or V0 = v4)")
+    assert out["hi"] <= 1e-9
 
 
 def _run_repl(scenario_text, commands):
@@ -281,6 +321,27 @@ class TestRepl:
         ])
         assert "QUERY Bel(RAIN) = [0, 1]" in out
         assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 0.25]" in out
+
+    def test_assume_compiles_once(self, monkeypatch):
+        compiles = []
+        compile_ = scenario_module.compile_constraints
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "compile_constraints", counting)
+        code, out = _run_repl(RAIN_SCENARIO, [
+            "bounds Bel(RAIN)",
+            "assume Bel(RAIN) >= 0.25",
+            "assume Bel(RAIN) = 0.1",
+            "quit",
+        ])
+        # one compile each: the start, the bounds command and the two assumes
+        assert len(compiles) == 4
+        assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 1]" in out
+        assert "CONFLICT 1: Bel(RAIN) >= 0.25" in out
+        assert "CONFLICT 2: Bel(RAIN) = 0.1" in out
 
     def test_malformed_input_keeps_state(self):
         code, out = _run_repl(RAIN_SCENARIO, [
