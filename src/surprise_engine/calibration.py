@@ -49,10 +49,6 @@ class CalibrationCurve:
             lo = hi
         raise AssertionError("unreachable: r is bracketed by the endpoint anchors")
 
-    def export_text(self) -> str:
-        """Anchor pairs, one ``log_ratio surprise`` line each."""
-        return "\n".join(f"{r:.12g} {s:.12g}" for r, s in self.anchors)
-
 
 def _normalize(x: int, y: int) -> tuple[int, int]:
     if not (isinstance(x, int) and isinstance(y, int)) or x <= 0 or y <= 0:

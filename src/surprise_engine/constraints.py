@@ -456,11 +456,9 @@ def _rows(system: CompiledSystem, extra: Iterable[tuple[np.ndarray, str, float]]
     return rows
 
 
-def _probe(system: CompiledSystem, extra, cells=(), objective=None,
-           maximize=True, start=None) -> SolveResult:
-    lp = LinearProgram(system.mass_dim, _rows(system, extra, cells), objective,
-                       maximize=maximize, zero_vars=(0,))
-    return solve(lp, start=start)
+def _program(system: CompiledSystem, extra, cells=()) -> LinearProgram:
+    """The LP rows of a cell, as one program for every LP over that cell."""
+    return LinearProgram(system.mass_dim, _rows(system, extra, cells), zero_vars=(0,))
 
 
 def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
@@ -468,11 +466,12 @@ def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
     """Depth-first branch-and-prune over the parameter box, which is
     zero-dimensional when the system has no parameter.
 
-    Yields ``(result, cell)`` for each feasible cell of ``box`` (default:
-    the whole box) no wider than ``width``, lower halves first, with the
-    solve of the cell's rows that found it feasible; the solve of such a
-    cell minimizes ``objective`` when one is given.  A wider feasible cell
-    is split along its widest side unless ``keep(cell)`` is false.
+    Builds one program per cell and yields ``(program, result, cell)`` for
+    each feasible cell of ``box`` (default: the whole box) no wider than
+    ``width``, lower halves first, with the first solve of the cell's
+    program; at such a cell that solve minimizes ``objective`` when one is
+    given.  A wider feasible cell is split along its widest side unless
+    ``keep(program, cell)`` is false.
     """
     stack = [tuple((0.0, 1.0) for _ in range(system.num_params)) if box is None else box]
     probes = 0
@@ -483,14 +482,14 @@ def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
             raise CompileError("parameter sweep exceeded its probe budget")
         widths = [hi - lo for lo, hi in cells]
         leaf = max(widths, default=0.0) <= width
-        res = _probe(system, extra, cells, objective=objective if leaf else None,
-                     maximize=False)
+        program = _program(system, extra, cells)
+        res = solve(program, objective if leaf else None, maximize=False)
         if res.status == INFEASIBLE:
             continue
         if leaf:
-            yield res, cells
+            yield program, res, cells
             continue
-        if keep is not None and not keep(cells):
+        if keep is not None and not keep(program, cells):
             continue
         widest = widths.index(max(widths))
         lo, hi = cells[widest]
@@ -505,7 +504,7 @@ def feasible(system: CompiledSystem) -> FeasibilityResult:
     leaf = next(_leaves(system), None)
     if leaf is None:
         return FeasibilityResult(False)
-    res, cells = leaf
+    _, res, cells = leaf
     witness = MassFunction.from_vector(system.frame, res.point)
     params = tuple(0.5 * (lo + hi) for lo, hi in cells) if cells else None
     return FeasibilityResult(True, witness, params)
@@ -536,21 +535,19 @@ def _open_flag(system: CompiledSystem, point: np.ndarray | None) -> bool:
     return False
 
 
-def _level(system: CompiledSystem, extra, cells, num: np.ndarray, den: np.ndarray,
+def _level(program: LinearProgram, num: np.ndarray, den: np.ndarray,
            v: float) -> tuple[float, SolveResult]:
     """One step of Dinkelbach's method: maximize ``num - v*den`` over the
-    cell's rows and return the quotient ``num/den`` at the optimum with
-    the solve.  The solve starts cold: a start's basis is refactored
-    against every column, which on the widest frames holds several
-    copies of the tableau at once."""
-    res = _probe(system, extra, cells, objective=num - v * den)
+    cell's program and return the quotient ``num/den`` at the optimum with
+    the solve."""
+    res = solve(program, num - v * den)
     return float(num @ res.point) / float(den @ res.point), res
 
 
-def _quotient_max(system: CompiledSystem, extra, cells, num: np.ndarray, den: np.ndarray,
+def _quotient_max(program: LinearProgram, num: np.ndarray, den: np.ndarray,
                   v: float) -> tuple[float, SolveResult] | None:
     """Dinkelbach's method (Dinkelbach 1967) for the largest ``num/den``
-    over the cell's rows, from the level ``v``: each step moves ``v`` to
+    over the cell's program, from the level ``v``: each step moves ``v`` to
     the quotient at the optimum of ``num - v*den``, until ``v`` stops
     improving.  Returns the best ``(quotient, result)`` above ``v``, or
     ``None`` when no point of the cell beats ``v``."""
@@ -559,7 +556,7 @@ def _quotient_max(system: CompiledSystem, extra, cells, num: np.ndarray, den: np
     linear = np.ptp(den[1:]) == 0.0
     best = None
     while True:
-        q, res = _level(system, extra, cells, num, den, v)
+        q, res = _level(program, num, den, v)
         if q <= v:
             return best
         v, best = q, (q, res)
@@ -567,25 +564,24 @@ def _quotient_max(system: CompiledSystem, extra, cells, num: np.ndarray, den: np
             return best
 
 
-def _best_leaf(system: CompiledSystem, extra, num: np.ndarray,
-               den: np.ndarray) -> tuple[float, SolveResult] | None:
-    """The largest ``num/den`` over the leaves of the parameter box, with
-    its solve, or ``None`` when no cell is feasible.  A cell is dropped
-    when its relaxed optimum cannot beat the best leaf so far: the
-    interval rows relax the parameter rows, so that optimum bounds the
-    cell from outside."""
-    best = None
+def _best_leaves(system: CompiledSystem, extra, nums: Sequence[np.ndarray],
+                 den: np.ndarray) -> list[tuple[float, SolveResult]] | None:
+    """For each numerator, the largest ``num/den`` over the leaves of the
+    parameter box with its solve, from one search; ``None`` when no cell
+    is feasible.  A cell is dropped when no numerator's relaxed optimum
+    can beat that numerator's best leaf so far: the interval rows relax
+    the parameter rows, so that optimum bounds the cell from outside."""
+    best = [None] * len(nums)
 
-    def promising(cells: tuple) -> bool:
-        return best is None or _level(system, extra, cells, num, den, best[0])[0] > best[0]
+    def promising(program: LinearProgram, cells: tuple) -> bool:
+        return any(b is None or _level(program, num, den, b[0])[0] > b[0]
+                   for num, b in zip(nums, best))
 
-    for res, cells in _leaves(system, extra, keep=promising):
-        if best is None:
-            v = float(num @ res.point) / float(den @ res.point)
-            best = _quotient_max(system, extra, cells, num, den, v) or (v, res)
-        else:
-            best = _quotient_max(system, extra, cells, num, den, best[0]) or best
-    return best
+    for program, res, _ in _leaves(system, extra, keep=promising):
+        for i, num in enumerate(nums):
+            v = float(num @ res.point) / float(den @ res.point) if best[i] is None else best[i][0]
+            best[i] = _quotient_max(program, num, den, v) or best[i] or (v, res)
+    return None if best[0] is None else best
 
 
 def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
@@ -596,8 +592,9 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     Bel(f or not g) - Bel(not g)`` and ``den = 1 - Bel(not g)``, kept
     above ``EPS_QUERY_GUARD``; an unconditional query has ``not g``
     empty, so ``den`` is 1.  Each end is the best optimum of that quotient
-    over the leaves of the parameter box, found by Dinkelbach's method,
-    and is reported as the value its witness attains.
+    over the leaves of the parameter box, found by Dinkelbach's method in
+    one search for both ends, and is reported as the value its witness
+    attains.
     """
     f_bits, g_bits = _term_bits(system, query)
     not_g = 0 if g_bits is None else system.frame.full_bits ^ g_bits
@@ -606,16 +603,13 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     den = 1.0 - bel_not_g  # every row set holds sum(m) = 1
     extra = () if g_bits is None else ((bel_not_g, "<=", 1.0 - EPS_QUERY_GUARD),)
 
-    found = []
-    for sign in (1.0, -1.0):
-        best = _best_leaf(system, extra, sign * num, den)
-        if best is None:
-            if next(_leaves(system), None) is None:
-                raise InfeasibleSystem("the constraint system is infeasible")
-            raise QueryUndefinedEverywhere(
-                f"every feasible belief function makes {query.render(system.frame)} undefined")
-        found.append(best[1])
-    hi_res, lo_res = found
+    found = _best_leaves(system, extra, (num, -num), den)
+    if found is None:
+        if next(_leaves(system), None) is None:
+            raise InfeasibleSystem("the constraint system is infeasible")
+        raise QueryUndefinedEverywhere(
+            f"every feasible belief function makes {query.render(system.frame)} undefined")
+    (_, hi_res), (_, lo_res) = found
     w_hi = MassFunction.from_vector(system.frame, hi_res.point)
     w_lo = MassFunction.from_vector(system.frame, lo_res.point)
     hi = min(max(_oracle_value(system, query, w_hi), 0.0), 1.0)
@@ -649,12 +643,12 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
     env[0] = 0.0
     first = system.bel_vector(1)
     leaves = 0
-    for res, cells in _leaves(system, width=1.0 / system.grid, objective=first):
+    for program, res, cells in _leaves(system, width=1.0 / system.grid, objective=first):
         if system.num_params:
             leaf = next(_leaves(system, box=cells, objective=first), None)
             if leaf is None:
                 continue
-            res, cells = leaf
+            program, res, _ = leaf
         leaves += 1
         if leaves > _LEAF_CAP:
             raise CompileError(
@@ -662,9 +656,7 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
                 "exhaustive envelope; tighten the constraints")
         env[1] = min(env[1], res.value)
         for s in range(2, full):
-            low = _probe(system, (), cells, objective=system.bel_vector(s), maximize=False,
-                         start=res)
-            env[s] = min(env[s], low.value)
+            env[s] = min(env[s], solve(program, system.bel_vector(s), maximize=False).value)
     if not leaves:
         raise InfeasibleSystem("the constraint system is infeasible")
     return np.clip(env, 0.0, 1.0)

@@ -10,16 +10,17 @@ point, the rest of that phase enters the first improving column instead
 (Bland's rule), which cannot cycle (Bland 1977).  Ties go to the lowest
 index, so runs are deterministic.
 
-A solve may start from the result of an earlier solve over the same
-rows: phase 1 is skipped and phase 2 runs from that result's feasible
-basis, refactored against the rows.  The lower envelope, which optimizes
-every subset's belief over one polytope, pays for phase 1 once that way.
+A program holds only its rows; the objective comes with each solve.
+The first solve of a program runs phase 1 and keeps its outcome on the
+program, and every solve then runs phase 2 from a copy of that feasible
+tableau.  The LPs over one polytope, which differ only in the objective
+(the steps of Dinkelbach's method, prune tests and the lower envelope's
+objectives), pay for phase 1 once that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +45,15 @@ class LinearProgram:
     """Rows over ``num_vars`` simplex-constrained variables.
 
     ``rows`` is a sequence of ``(coefficients, relop, constant)`` with
-    relop one of ``<=``, ``>=``, ``=``.  ``objective`` is an optional
-    coefficient vector, maximized unless ``maximize`` is false.
-    ``zero_vars`` are coordinate indices pinned to zero.
+    relop one of ``<=``, ``>=``, ``=``.  ``zero_vars`` are coordinate
+    indices pinned to zero.  A program has no objective; each
+    :func:`solve` brings its own.  The first solve keeps the outcome of
+    phase 1 on the program for every later one.
     """
 
-    __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "objective", "maximize", "zero_vars")
+    __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "zero_vars", "_phase1")
 
-    def __init__(self, num_vars: int, rows: Sequence[tuple], objective=None,
-                 *, maximize: bool = True, zero_vars: Sequence[int] = ()):
+    def __init__(self, num_vars: int, rows: Sequence[tuple], *, zero_vars: Sequence[int] = ()):
         self.num_vars = int(num_vars)
         if self.num_vars < 1:
             raise SolverError("a program needs at least one variable")
@@ -74,40 +75,19 @@ class LinearProgram:
         self.consts = np.array(consts, dtype=float)
         if not (np.isfinite(self.row_coeffs).all() and np.isfinite(self.consts).all()):
             raise SolverError("row coefficients must be finite")
-        self.objective = None if objective is None else np.asarray(objective, dtype=float)
-        if self.objective is not None and self.objective.shape != (self.num_vars,):
-            raise SolverError("objective width does not match the variable count")
-        self.maximize = bool(maximize)
         self.zero_vars = tuple(sorted(set(int(z) for z in zero_vars)))
-
-
-@dataclass(frozen=True, eq=False)
-class _Basis:
-    """A feasible basis of a program's rows, small enough to keep with
-    every result: the rows' key, the basic column of each row, and the
-    rows found redundant in phase 1."""
-
-    rows: tuple
-    columns: np.ndarray
-    dropped: tuple[int, ...]
+        self._phase1 = None  # set by the first solve; see _phase1
 
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Outcome of :func:`solve`.  A feasible result keeps its final basis,
-    so that ``solve(other, start=result)`` over the same rows skips
-    phase 1."""
+    """Outcome of :func:`solve`."""
 
     status: str
     value: float | None = None
     point: np.ndarray | None = None
     dual_value: float | None = None
     pivots: int = 0
-    basis: _Basis | None = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != INFEASIBLE
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -216,11 +196,15 @@ def _standard_form(lp: LinearProgram):
     return keep, T, basis, art_cols, n + n_slack
 
 
-def _phase1(T: np.ndarray, basis: np.ndarray, art_cols: list[int], width: int,
-            budget: int) -> tuple[int, list[int] | None]:
-    """Drive the artificial variables to zero.  Returns the pivot count and
-    the rows left redundant, or ``None`` in their place when the rows are
-    infeasible."""
+def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
+    """Phase 1 of a program: drive the artificial variables to zero.
+    Returns the outcome the program keeps, with the pivot count: either
+    ``INFEASIBLE``, or the kept coordinates, the feasible tableau without
+    artificial columns or redundant rows, its basis, and the standard-form
+    ``A`` and ``b`` that the dual value needs."""
+    keep, T, basis, art_cols, width = _standard_form(lp)
+    A_std = T[:, :width].copy()
+    b_std = T[:, -1].copy()
     art_set = set(art_cols)
     z = np.zeros(T.shape[1])
     z[art_cols] = 1.0
@@ -229,7 +213,7 @@ def _phase1(T: np.ndarray, basis: np.ndarray, art_cols: list[int], width: int,
             z -= T[i]
     pivots = _iterate(T, z, basis, budget)
     if -z[-1] > 1e-9:
-        return pivots, None
+        return INFEASIBLE, pivots
 
     # Remove artificial variables: pivot basics out on the largest
     # available element (tiny pivots would blow residuals up), dropping
@@ -243,106 +227,64 @@ def _phase1(T: np.ndarray, basis: np.ndarray, art_cols: list[int], width: int,
                 _pivot(T, z, basis, i, col)
             else:
                 dropped.append(i)
-    return pivots, dropped
+    T = np.hstack([T[:, :width], T[:, -1:]])
+    if dropped:
+        T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
+        A_std, b_std = np.delete(A_std, dropped, axis=0), np.delete(b_std, dropped)
+    return (keep, T, basis, A_std, b_std), pivots
 
 
-@lru_cache(maxsize=64)
-def _projection(width: int) -> np.ndarray:
-    """Fixed weights with no rational relation: the fractional parts of
-    the multiples of the golden ratio."""
-    weights = np.modf(np.arange(1, width + 1) * 0.6180339887498949)[0]
-    weights.flags.writeable = False
-    return weights
+def _point(num_vars: int, keep: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    x = np.zeros(num_vars)
+    basic = basis < keep.size
+    x[keep[basis[basic]]] = T[basic, -1]
+    return x
 
 
-def _row_key(lp: LinearProgram) -> tuple:
-    """Identifies a program's rows: their relations, constants and pinned
-    coordinates exactly, their coefficients by a fixed projection.  A key
-    keeps every result small; a warm solve refactors the basis against its
-    own rows and verifies its point, so the key guards against misuse, not
-    against wrong answers."""
-    return (lp.num_vars, lp.zero_vars, tuple(lp.relops), lp.consts.tobytes(),
-            (lp.row_coeffs @ _projection(lp.num_vars)).tobytes())
-
-
-def _tableau(A: np.ndarray, b: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``B^-1 [A | b]`` for the basis ``B = A[:, columns]``; raises
-    :class:`SolverError` when that basis is singular or infeasible."""
-    try:
-        T = np.linalg.solve(A[:, columns], np.column_stack([A, b]))
-    except np.linalg.LinAlgError:
-        raise SolverError("the start's basis is singular for these rows") from None
-    if T[:, -1].min() < -RESIDUAL_TOL:
-        raise SolverError("the start's basis is infeasible for these rows")
-    T[:, columns] = np.eye(len(columns))  # exact unit columns, as pivoting leaves them
-    return T
-
-
-def solve(lp: LinearProgram, *, start: SolveResult | None = None,
+def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
           max_pivots: int = DEFAULT_MAX_PIVOTS) -> SolveResult:
     """Two-phase simplex.
 
-    Returns ``INFEASIBLE``, ``OPTIMAL`` (with value and point), or, when
-    no objective was supplied, ``FEASIBLE`` with a satisfying point.
-    ``start`` is the result of an earlier feasible solve over the same
-    rows: phase 1 is then skipped, phase 2 runs from that result's basis
-    and ``pivots`` counts the phase-2 pivots only.  A ``start`` over other
-    rows raises :class:`SolverError`.  Raises :class:`IterationLimit` when
-    the pivot budget runs out, which is reported distinctly from
-    infeasibility.
+    Returns ``INFEASIBLE``; ``OPTIMAL`` with value and point when an
+    ``objective`` coefficient vector is given, maximized unless
+    ``maximize`` is false; or ``FEASIBLE`` with a satisfying point.  Only
+    the first solve of a program runs phase 1.  Every solve runs phase 2
+    on a copy of the program's feasible tableau, and ``pivots`` counts the
+    pivots of this solve.  Raises :class:`IterationLimit` when the pivot
+    budget runs out, which is reported distinctly from infeasibility.
     """
-    keep, T, basis, art_cols, width = _standard_form(lp)
-    rows = _row_key(lp)
-    A_std = T[:, :width].copy()
-    b_std = T[:, -1].copy()
-    if start is None:
-        pivots, dropped = _phase1(T, basis, art_cols, width, max_pivots)
-        if dropped is None:
-            return SolveResult(INFEASIBLE, pivots=pivots)
-        T = np.hstack([T[:, :width], T[:, -1:]])
-        if dropped:
-            T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
-    else:
-        warm = start.basis
-        if warm is None or warm.rows != rows:
-            raise SolverError("a start must be a feasible solve over the same rows")
-        basis, dropped, pivots = warm.columns.copy(), warm.dropped, 0
-    if dropped:
-        A_std = np.delete(A_std, dropped, axis=0)
-        b_std = np.delete(b_std, dropped)
-    if start is not None:
-        T = _tableau(A_std, b_std, basis)
-    m = T.shape[0]
-
-    def extract_point() -> np.ndarray:
-        x = np.zeros(lp.num_vars)
-        for i in range(m):
-            if basis[i] < keep.size:
-                x[keep[basis[i]]] = T[i, -1]
-        return x
-
-    if lp.objective is None:
-        point = extract_point()
+    if objective is not None:
+        objective = np.asarray(objective, dtype=float)
+        if objective.shape != (lp.num_vars,):
+            raise SolverError("objective width does not match the variable count")
+    pivots = 0
+    if lp._phase1 is None:
+        lp._phase1, pivots = _phase1(lp, max_pivots)
+    if lp._phase1 is INFEASIBLE:
+        return SolveResult(INFEASIBLE, pivots=pivots)
+    keep, T, basis, A_std, b_std = lp._phase1
+    if objective is None:
+        point = _point(lp.num_vars, keep, T, basis)
         _verify(lp, point)
-        return SolveResult(FEASIBLE, point=point, pivots=pivots,
-                           basis=_Basis(rows, basis, tuple(dropped)))
+        return SolveResult(FEASIBLE, point=point, pivots=pivots)
 
     # Phase 2: optimize the caller's objective.
+    T, basis = T.copy(), basis.copy()
+    width = T.shape[1] - 1
     cost = np.zeros(width + 1)
-    struct_cost = lp.objective[keep]
-    cost[:keep.size] = -struct_cost if lp.maximize else struct_cost
+    struct_cost = objective[keep]
+    cost[:keep.size] = -struct_cost if maximize else struct_cost
     z2 = cost.copy()
-    for i in range(m):
+    for i in range(T.shape[0]):
         if cost[basis[i]] != 0.0:
             z2 -= cost[basis[i]] * T[i]
     pivots += _iterate(T, z2, basis, max_pivots - pivots)
 
-    point = extract_point()
+    point = _point(lp.num_vars, keep, T, basis)
     _verify(lp, point)
-    value = float(lp.objective @ point)
-    dual = _dual_value(A_std, b_std, cost[:width], basis, lp.maximize)
-    return SolveResult(OPTIMAL, value=value, point=point, dual_value=dual, pivots=pivots,
-                       basis=_Basis(rows, basis, tuple(dropped)))
+    value = float(objective @ point)
+    dual = _dual_value(A_std, b_std, cost[:width], basis, maximize)
+    return SolveResult(OPTIMAL, value=value, point=point, dual_value=dual, pivots=pivots)
 
 
 def _dual_value(A_std: np.ndarray, b_std: np.ndarray, cost: np.ndarray,

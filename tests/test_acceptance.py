@@ -17,12 +17,14 @@ from surprise_engine import (
     build_curve,
     compile_constraints,
     constraint_satisfied,
+    constraints,
     extension,
     feasible,
     leq_committed,
     mincommit,
     parse_constraint,
     parse_formula,
+    solve,
 )
 from surprise_engine.cli import bundled_scenario
 from surprise_engine.scenario import load_scenario
@@ -94,10 +96,10 @@ def test_criterion_2_impossibility_suite():
     if mc is not None:
         witnesses.append(mc)
     rng = random.Random(4)
-    from surprise_engine.constraints import _probe
     for _ in range(20):
         objective = np.array([rng.uniform(-1, 1) for _ in range(system4.mass_dim)])
-        sol = _probe(system4, (), objective=objective, maximize=rng.random() < 0.5)
+        sol = solve(constraints._program(system4, ()), objective,
+                    maximize=rng.random() < 0.5)
         witnesses.append(MassFunction.from_vector(pac, sol.point))
     for w in witnesses:
         assert not w.is_consonant()
@@ -357,7 +359,6 @@ def test_criterion_6_conditioning_law_suite():
 # -- 7 ------------------------------------------------------------------------
 
 def test_criterion_7_minimum_commitment_dominance():
-    from surprise_engine.constraints import _probe
     rng = random.Random(7)
     succeeded = 0
     attempts = 0
@@ -377,7 +378,8 @@ def test_criterion_7_minimum_commitment_dominance():
             continue
         for _ in range(20):
             objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-            sol = _probe(system, (), objective=objective, maximize=rng.random() < 0.5)
+            sol = solve(constraints._program(system, ()), objective,
+                        maximize=rng.random() < 0.5)
             witness = MassFunction.from_vector(frame, sol.point)
             assert leq_committed(result, witness, tol=1e-6)
         succeeded += 1

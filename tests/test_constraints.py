@@ -29,6 +29,7 @@ from surprise_engine import (
     mincommit,
     parse_constraint,
     parse_formula,
+    solve,
     surprise_report,
 )
 from surprise_engine.errors import ConditioningUndefined
@@ -329,6 +330,21 @@ class TestBounds:
         with pytest.raises(SolverError, match="injected failure"):
             bounds(system, term(frame, "M", "P"))
 
+    def test_unconditional_query_costs_three_solves(self, hire_system, monkeypatch):
+        # one search serves both ends: the root cell's phase 1, then one
+        # Dinkelbach step per end over the same program
+        assert hire_system.num_params == 0
+        calls = []
+        solve = constraints.solve
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(constraints, "solve", counting)
+        bounds(hire_system, term(hire_system.frame, "HIRE"))
+        assert len(calls) == 3
+
     def test_matches_charnes_cooper_lp_solved_by_highs(self):
         """On random parameter-free systems whose rows hold at an anchor
         mass function, both ends equal the optimum of the Charnes-Cooper
@@ -485,9 +501,8 @@ class TestMincommit:
 
 
 def _random_feasible_witness(system, rng):
-    from surprise_engine.constraints import _probe
     objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-    res = _probe(system, (), objective=objective, maximize=rng.random() < 0.5)
+    res = solve(constraints._program(system, ()), objective, maximize=rng.random() < 0.5)
     return MassFunction.from_vector(system.frame, res.point)
 
 

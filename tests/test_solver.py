@@ -21,8 +21,8 @@ from conftest import random_frame, random_mass, random_subset, subset_formula
 
 
 def test_segment_optimum():
-    lp = LinearProgram(2, [([1.0, 0.0], "=", 0.3)], [0.0, 1.0])
-    res = solve(lp)
+    lp = LinearProgram(2, [([1.0, 0.0], "=", 0.3)])
+    res = solve(lp, [0.0, 1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.7, abs=1e-9)
     assert np.allclose(res.point, [0.3, 0.7], atol=1e-9)
@@ -124,8 +124,7 @@ def test_agreement_with_grid_search_small():
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.0, 0.8)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
         maximize = rng.random() < 0.5
-        lp = LinearProgram(n, rows, objective, maximize=maximize)
-        res = solve(lp)
+        res = solve(LinearProgram(n, rows), objective, maximize=maximize)
         steps = 400
         grid = _grid_optimum(n, rows, objective, maximize, steps)
         if res.status == INFEASIBLE:
@@ -145,8 +144,7 @@ def test_agreement_with_grid_search_wider():
             coeffs = [rng.uniform(-1, 1) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.1, 0.9)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
-        lp = LinearProgram(n, rows, objective, maximize=True)
-        res = solve(lp)
+        res = solve(LinearProgram(n, rows), objective, maximize=True)
         steps = 25
         grid = _grid_optimum(n, rows, objective, True, steps)
         if res.status == INFEASIBLE:
@@ -168,7 +166,7 @@ def test_duality_certificate():
             rows.append((coeffs, rng.choice(["<=", ">=", "="]),
                          rng.uniform(0.0, 0.5)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
-        res = solve(LinearProgram(n, rows, objective, maximize=rng.random() < 0.5))
+        res = solve(LinearProgram(n, rows), objective, maximize=rng.random() < 0.5)
         if res.status != OPTIMAL or res.dual_value is None:
             continue
         assert res.value == pytest.approx(res.dual_value, abs=1e-6)
@@ -178,18 +176,21 @@ def test_determinism():
     rng = random.Random(5)
     rows = [([rng.uniform(-1, 1) for _ in range(6)], "<=", 0.4) for _ in range(4)]
     objective = [rng.uniform(-1, 1) for _ in range(6)]
-    lp = LinearProgram(6, rows, objective)
-    first = solve(lp)
-    second = solve(lp)
+    first = solve(LinearProgram(6, rows), objective)
+    lp = LinearProgram(6, rows)
+    second = solve(lp, objective)
     assert first.pivots == second.pivots
     assert first.value == second.value
     assert np.array_equal(first.point, second.point)
+    again = solve(lp, objective)
+    assert again.value == second.value
+    assert np.array_equal(again.point, second.point)
 
 
 def test_iteration_limit_is_distinct_from_infeasible():
-    lp = LinearProgram(3, [([1, 1, 0], "<=", 0.9)], [1.0, 2.0, 3.0])
+    lp = LinearProgram(3, [([1, 1, 0], "<=", 0.9)])
     with pytest.raises(IterationLimit):
-        solve(lp, max_pivots=0)
+        solve(lp, [1.0, 2.0, 3.0], max_pivots=0)
 
 
 def test_returned_point_satisfies_rows():
@@ -221,6 +222,8 @@ def test_row_width_validation():
         LinearProgram(3, [([1, 2], "=", 0.5)])
     with pytest.raises(SolverError):
         LinearProgram(3, [([1, 2, 3], "!!", 0.5)])
+    with pytest.raises(SolverError):
+        solve(LinearProgram(3, [([1, 2, 3], "=", 0.5)]), [1.0, 2.0])
 
 
 def _random_rows(rng, n, count):
@@ -235,49 +238,31 @@ def test_warm_start_matches_cold_solve():
         n = rng.randint(2, 10)
         rows = _random_rows(rng, n, rng.randint(0, 5))
         zero_vars = (0,) if rng.random() < 0.5 else ()
-        start = solve(LinearProgram(n, rows, zero_vars=zero_vars))
-        if start.status == INFEASIBLE:
+        lp = LinearProgram(n, rows, zero_vars=zero_vars)
+        if solve(lp).status == INFEASIBLE:
             continue
         for _ in range(6):
             objective = [rng.uniform(-1, 1) for _ in range(n)]
-            lp = LinearProgram(n, rows, objective, maximize=rng.random() < 0.5,
-                               zero_vars=zero_vars)
-            cold = solve(lp)
-            warm = solve(lp, start=start)
+            maximize = rng.random() < 0.5
+            warm = solve(lp, objective, maximize=maximize)
+            cold = solve(LinearProgram(n, rows, zero_vars=zero_vars), objective,
+                         maximize=maximize)
             assert warm.status == cold.status == OPTIMAL
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             if warm.dual_value is not None:
                 assert warm.dual_value == pytest.approx(warm.value, abs=1e-6)
-            # an optimal result is a feasible basis too
-            again = solve(lp, start=cold)
-            assert again.value == pytest.approx(cold.value, abs=1e-9)
-            assert again.pivots == 0
             checked += 1
     assert checked >= 60
 
 
-def test_start_from_other_rows_rejected():
-    rows = [([1.0, 0.0, 0.0], "<=", 0.5), ([0.0, 1.0, 0.0], ">=", 0.1)]
-    start = solve(LinearProgram(3, rows))
-    assert start.status == FEASIBLE
-    objective = [1.0, 2.0, 3.0]
-    others = [
-        LinearProgram(3, rows[:1], objective),
-        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.0], ">=", 0.2)], objective),
-        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.5], ">=", 0.1)], objective),
-        LinearProgram(3, [rows[0], ([0.0, 1.0, 0.0], "<=", 0.1)], objective),
-        LinearProgram(3, rows, objective, zero_vars=(2,)),
-        LinearProgram(4, [([1.0, 0.0, 0.0, 0.0], "<=", 0.5), ([0.0, 1.0, 0.0, 0.0], ">=", 0.1)],
-                      objective + [4.0]),
-    ]
-    for lp in others:
-        with pytest.raises(SolverError):
-            solve(lp, start=start)
-    infeasible = solve(LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)]))
-    with pytest.raises(SolverError):
-        solve(LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)], objective),
-              start=infeasible)
-    assert solve(LinearProgram(3, rows, objective), start=start).status == OPTIMAL
+def test_infeasible_program_stays_infeasible():
+    lp = LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)])
+    assert solve(lp).status == INFEASIBLE
+    for objective in ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]):
+        for maximize in (True, False):
+            res = solve(lp, objective, maximize=maximize)
+            assert res.status == INFEASIBLE
+            assert res.pivots == 0
 
 
 def _degenerate_rows(rng, n):
@@ -298,12 +283,14 @@ def test_bland_fallback_agrees_with_default_rule(monkeypatch, threshold):
     for _ in range(60):
         n = rng.randint(3, 10)
         objective = [rng.uniform(-1, 1) for _ in range(n)]
-        lp = LinearProgram(n, _degenerate_rows(rng, n), objective,
-                           maximize=rng.random() < 0.5)
-        cases.append((lp, solve(lp)))
+        rows = _degenerate_rows(rng, n)
+        maximize = rng.random() < 0.5
+        cases.append((n, rows, objective, maximize,
+                      solve(LinearProgram(n, rows), objective, maximize=maximize)))
     monkeypatch.setattr(solver, "BLAND_AFTER", threshold)
-    for lp, default in cases:
-        res = solve(lp)
+    for n, rows, objective, maximize, default in cases:
+        # a fresh program, so that phase 1 also runs under the fallback
+        res = solve(LinearProgram(n, rows), objective, maximize=maximize)
         assert res.status == default.status == OPTIMAL
         assert res.value == pytest.approx(default.value, abs=1e-9)
 
@@ -402,8 +389,8 @@ def test_agrees_with_highs_on_compiled_systems():
         objective = system.bel_vector(random_subset(frame, rng).bits)
         for maximize in (True, False):
             try:
-                ours = solve(LinearProgram(system.mass_dim, rows, objective,
-                                           maximize=maximize, zero_vars=(0,)))
+                ours = solve(LinearProgram(system.mass_dim, rows, zero_vars=(0,)),
+                             objective, maximize=maximize)
             except SolverError:
                 assert _marginal(linprog, system.mass_dim, rows)
                 margin_only += 1
