@@ -10,9 +10,16 @@ A constraint relates linear combinations of belief terms, e.g.::
 
 Unconditional terms are linear in the mass vector directly.  A single
 conditional term against constants is cleared of its denominator through
-``Bel(A|B) = (Bel(A or not B) - Bel(not B)) / (1 - Bel(not B))``.  An
-equality between two terms of which at least one is conditional gets a
-scalar parameter for the shared value.
+``Bel(A|B) = (Bel(A or not B) - Bel(not B)) / (1 - Bel(not B))``, and the
+guard ``Bel(not B) < 1`` keeps that denominator positive.  An equality
+between two terms of which at least one is conditional gets a scalar
+parameter for the shared value.
+
+Strict rows are exact.  Each strict row and each guard shares one slack
+column ``delta >= 0`` in the LP: ``a.m + delta <= c`` for ``a.m < c``.
+The strict system is feasible iff ``delta`` can be made positive, and
+bounds optimize over its closure, ``delta >= 0``, with an end open when
+no point that attains it meets every strict row strictly.
 
 Feasibility, bounds and the lower envelope share one depth-first
 branch-and-prune over the box of parameter values, in which each cell
@@ -28,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,13 +50,11 @@ from .errors import (
     QueryUndefinedEverywhere,
 )
 from .frames import Formula, Not, ProductFrame, extension_bits, parse_formula, pretty
-from .solver import INFEASIBLE, LinearProgram, SolveResult, solve
+from .solver import INFEASIBLE, LinearProgram, solve
 
-EPS_STRICT = 1e-6
-EPS_GUARD = 1e-9
-# Bounds keep a query's conditioning normalizer 1 - Bel(not g) above LP
-# noise; the quotient it divides is undefined at Bel(not g) = 1.
-EPS_QUERY_GUARD = 1e-6
+# LP optima at or below this count as zero: the largest slack delta, the
+# Dinkelbach gap max(num - v*den) and the largest denominator.
+ZERO_TOL = 1e-9
 DEFAULT_GRID = 256
 DEFAULT_MAX_PARAMETERS = 2
 DEFAULT_COMPILE_MAX_THETA = 12
@@ -273,6 +278,10 @@ def _parse_side(tokens: list, constants: dict[str, float]) -> tuple[list, float]
 
 @dataclass(frozen=True, eq=False)
 class StaticRow:
+    """Row ``coeffs.m relop const``; a strict row holds with the shared
+    slack ``delta`` in every program: ``<=`` rows read ``coeffs.m + delta
+    <= const`` and ``>=`` rows ``coeffs.m - delta >= const``."""
+
     coeffs: np.ndarray
     relop: str  # "<=", ">=", "="
     const: float
@@ -310,25 +319,20 @@ class CompiledSystem:
     def mass_dim(self) -> int:
         return 1 << self.frame.theta_size
 
+    @property
+    def strict(self) -> bool:
+        """Has the system strict rows or guards, so that its programs
+        carry the slack column ``delta``?"""
+        return any(row.strict for row in self.static_rows)
+
     def bel_vector(self, bits: int) -> np.ndarray:
         """Coefficient vector of ``Bel`` of the subset: indicator of the
         sub-bitmasks of ``bits``."""
         cached = self._vec_cache.get(bits)
         if cached is None:
-            cached = _subset_indicator(bits, self.mass_dim)
+            cached = ((np.arange(self.mass_dim) & ~bits) == 0).astype(float)
             self._vec_cache[bits] = cached
         return cached
-
-
-def _subset_indicator(bits: int, mass_dim: int) -> np.ndarray:
-    vec = np.zeros(mass_dim)
-    s = bits
-    while True:
-        vec[s] = 1.0
-        if s == 0:
-            break
-        s = (s - 1) & bits
-    return vec
 
 
 def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, *,
@@ -349,12 +353,9 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
     guard_bits: dict[int, int | str] = {}
     num_params = 0
     for idx, con in enumerate(constraints):
-        relop, const = con.relop, con.const
-        strict = relop in ("<", ">")
-        if relop == "<":
-            relop, const = "<=", const - EPS_STRICT
-        elif relop == ">":
-            relop, const = ">=", const + EPS_STRICT
+        const = con.const
+        strict = con.relop in ("<", ">")
+        relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
 
         conditionals = [(c, t) for c, t in con.terms if t.evidence is not None]
         for _, term in conditionals:
@@ -399,7 +400,7 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
 
     for bits, origin in guard_bits.items():
         system.static_rows.append(
-            StaticRow(system.bel_vector(bits), "<=", 1.0 - EPS_GUARD, f"guard:{origin}"))
+            StaticRow(system.bel_vector(bits), "<=", 1.0, f"guard:{origin}", strict=True))
     system.num_params = num_params
     return system
 
@@ -441,37 +442,64 @@ class BoundsResult:
         return iter((self.lo, self.hi))
 
 
-def _rows(system: CompiledSystem, extra: Iterable[tuple[np.ndarray, str, float]],
-          cells: Sequence[tuple[float, float]]) -> list:
+def _rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
     """LP rows of the system over a box of parameter values: the static
-    rows, the ``extra`` rows, and the interval relaxation of each
-    parameterized row.  ``L + t*R = 0`` with ``R <= 0`` holds for some
-    ``t`` in ``[lo, hi]`` iff ``L + lo*R >= 0`` and ``L + hi*R <= 0``."""
-    rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
-    rows.extend(extra)
+    rows, the interval relaxation of each parameterized row, and the mass
+    row ``sum(m) = 1``.  ``L + t*R = 0`` with ``R <= 0`` holds for some
+    ``t`` in ``[lo, hi]`` iff ``L + lo*R >= 0`` and ``L + hi*R <= 0``.
+    When the system has strict rows, every row gets the column ``delta``
+    last: +1 on a strict ``<=`` row, -1 on a strict ``>=`` row, else 0."""
+    rows = [(r.coeffs, r.relop, r.const, r.strict) for r in system.static_rows]
     for pr in system.param_rows:
         lo, hi = cells[pr.param]
-        rows.append((pr.l_coeffs + lo * pr.r_coeffs, ">=", pr.l_const + lo * pr.r_const))
-        rows.append((pr.l_coeffs + hi * pr.r_coeffs, "<=", pr.l_const + hi * pr.r_const))
-    return rows
+        rows.append((pr.l_coeffs + lo * pr.r_coeffs, ">=", pr.l_const + lo * pr.r_const, False))
+        rows.append((pr.l_coeffs + hi * pr.r_coeffs, "<=", pr.l_const + hi * pr.r_const, False))
+    rows.append((np.ones(system.mass_dim), "=", 1.0, False))
+    if not system.strict:
+        return [(coeffs, op, const) for coeffs, op, const, _ in rows]
+    return [(np.append(coeffs, (1.0 if op == "<=" else -1.0) if strict else 0.0), op, const)
+            for coeffs, op, const, strict in rows]
 
 
-def _program(system: CompiledSystem, extra, cells=()) -> LinearProgram:
+def _program(system: CompiledSystem, cells=()) -> LinearProgram:
     """The LP rows of a cell, as one program for every LP over that cell."""
-    return LinearProgram(system.mass_dim, _rows(system, extra, cells), zero_vars=(0,))
+    return LinearProgram(system.mass_dim + system.strict, _rows(system, cells), zero_vars=(0,))
 
 
-def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
+def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
+    """A mass-vector objective over the columns of the system's programs,
+    with 0 on ``delta``."""
+    return np.append(vec, 0.0) if system.strict else vec
+
+
+def _slack(system: CompiledSystem, point: np.ndarray) -> float:
+    """The least slack of the strict rows, guards included, at the mass
+    vector of a program's point."""
+    m = point[:system.mass_dim]
+    return min((row.const - row.coeffs @ m if row.relop == "<=" else row.coeffs @ m - row.const
+                for row in system.static_rows if row.strict), default=np.inf)
+
+
+def _max_delta(program: LinearProgram):
+    """The optimum point of ``max delta`` over the program, its last
+    column, when that maximum is positive, else ``None``."""
+    res = solve(program, np.eye(1, program.num_vars, program.num_vars - 1)[0])
+    return res.point if res.status != INFEASIBLE and res.value > ZERO_TOL else None
+
+
+def _leaves(system: CompiledSystem, *, box: tuple | None = None,
             width: float = _MIN_CELL_WIDTH, keep=None, objective=None):
     """Depth-first branch-and-prune over the parameter box, which is
     zero-dimensional when the system has no parameter.
 
-    Builds one program per cell and yields ``(program, result, cell)`` for
-    each feasible cell of ``box`` (default: the whole box) no wider than
-    ``width``, lower halves first, with the first solve of the cell's
-    program; at such a cell that solve minimizes ``objective`` when one is
-    given.  A wider feasible cell is split along its widest side unless
-    ``keep(program, cell)`` is false.
+    Builds one program per cell and drops the cells that are not strictly
+    feasible: a subcell's rows imply its cell's, so they are not either.
+    Yields ``(program, result, point, cell)`` for each remaining cell of
+    ``box`` (default: the whole box) no wider than ``width``, lower halves
+    first.  ``result`` is the first solve of the cell's program, which
+    minimizes ``objective`` when one is given, and ``point`` is a point of
+    the program with ``delta > 0``.  A wider cell is split along its
+    widest side unless ``keep(program, cell)`` is false.
     """
     stack = [tuple((0.0, 1.0) for _ in range(system.num_params)) if box is None else box]
     probes = 0
@@ -482,12 +510,16 @@ def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
             raise CompileError("parameter sweep exceeded its probe budget")
         widths = [hi - lo for lo, hi in cells]
         leaf = max(widths, default=0.0) <= width
-        program = _program(system, extra, cells)
+        program = _program(system, cells)
         res = solve(program, objective if leaf else None, maximize=False)
         if res.status == INFEASIBLE:
             continue
+        # the point in hand shows delta > 0 when every strict row has slack there
+        point = res.point if _slack(system, res.point) > ZERO_TOL else _max_delta(program)
+        if point is None:
+            continue
         if leaf:
-            yield program, res, cells
+            yield program, res, point, cells
             continue
         if keep is not None and not keep(program, cells):
             continue
@@ -500,87 +532,77 @@ def _leaves(system: CompiledSystem, extra=(), *, box: tuple | None = None,
 
 def feasible(system: CompiledSystem) -> FeasibilityResult:
     """Is any belief function consistent with the system?  Returns a
-    witness mass function when so."""
+    witness mass function, which meets every strict row strictly, when
+    so."""
     leaf = next(_leaves(system), None)
     if leaf is None:
         return FeasibilityResult(False)
-    _, res, cells = leaf
-    witness = MassFunction.from_vector(system.frame, res.point)
+    _, _, point, cells = leaf
+    witness = MassFunction.from_vector(system.frame, point[:system.mass_dim])
     params = tuple(0.5 * (lo + hi) for lo, hi in cells) if cells else None
     return FeasibilityResult(True, witness, params)
 
 
-def _term_bits(system: CompiledSystem, term: BelTerm) -> tuple[int, int | None]:
-    f_bits = extension_bits(system.frame, term.target)
-    if term.evidence is None:
-        return f_bits, None
-    return f_bits, extension_bits(system.frame, term.evidence)
+def _end_witness(system: CompiledSystem, num: np.ndarray, den: np.ndarray, end: tuple):
+    """The witness of an end and whether the end is open.  An end is
+    closed when no strict row binds at its witness.  Otherwise one more
+    solve maximizes ``delta`` over the points of the witness's cell that
+    attain the end, ``num - v*den >= 0`` with ``den - delta >= 0``: the end
+    is open iff that maximum is 0, and a positive one gives a witness that
+    meets every strict row strictly."""
+    v, res, program = end
+    if _slack(system, res.point) > ZERO_TOL:
+        return res.point, False
+    rows = list(zip(program.row_coeffs, program.relops, program.consts))
+    attains = [(num - v * den, ">=", 0.0), (np.append(den[:-1], -1.0), ">=", 0.0)]
+    face = LinearProgram(program.num_vars, rows + attains, zero_vars=program.zero_vars)
+    point = _max_delta(face)
+    return (res.point, True) if point is None else (point, False)
 
 
-def _oracle_value(system: CompiledSystem, term: BelTerm, witness: MassFunction) -> float:
-    f_bits, g_bits = _term_bits(system, term)
-    m = witness
-    if g_bits is not None:
-        m = m.condition(system.frame.subset(g_bits))
-    return m.belief(system.frame.subset(f_bits))
-
-
-def _open_flag(system: CompiledSystem, point: np.ndarray | None) -> bool:
-    """An endpoint is open when a strict-origin row is binding there."""
-    if point is None:
-        return False
-    for row in system.static_rows:
-        if row.strict and abs(float(row.coeffs @ point) - row.const) <= 1e-9:
-            return True
-    return False
-
-
-def _level(program: LinearProgram, num: np.ndarray, den: np.ndarray,
-           v: float) -> tuple[float, SolveResult]:
-    """One step of Dinkelbach's method: maximize ``num - v*den`` over the
-    cell's program and return the quotient ``num/den`` at the optimum with
-    the solve."""
-    res = solve(program, num - v * den)
-    return float(num @ res.point) / float(den @ res.point), res
-
-
-def _quotient_max(program: LinearProgram, num: np.ndarray, den: np.ndarray,
-                  v: float) -> tuple[float, SolveResult] | None:
+def _quotient_max(program: LinearProgram, num: np.ndarray, den: np.ndarray, v: float,
+                  linear: bool):
     """Dinkelbach's method (Dinkelbach 1967) for the largest ``num/den``
-    over the cell's program, from the level ``v``: each step moves ``v`` to
-    the quotient at the optimum of ``num - v*den``, until ``v`` stops
-    improving.  Returns the best ``(quotient, result)`` above ``v``, or
-    ``None`` when no point of the cell beats ``v``."""
-    # A den that is constant on the mass simplex makes the quotient linear,
-    # and then the first optimum is exact.
-    linear = np.ptp(den[1:]) == 0.0
+    over the cell's program, from the level ``v``.  Each step maximizes
+    ``num - v*den``.  While that optimum is above ``ZERO_TOL``, its point
+    has ``den > 0`` (``num`` is 0 wherever ``den`` is) and a quotient
+    above ``v``, and ``v`` moves to that quotient.  A ``linear`` quotient
+    (constant ``den``) is exact after one step.  Returns the best
+    ``(quotient, result, program)`` above ``v``, or ``None`` when no point
+    of the cell beats ``v``."""
     best = None
     while True:
-        q, res = _level(program, num, den, v)
-        if q <= v:
+        res = solve(program, num - v * den)
+        if res.value <= ZERO_TOL:
             return best
-        v, best = q, (q, res)
+        v = float(num @ res.point) / float(den @ res.point)
+        best = (v, res, program)
         if linear:
             return best
 
 
-def _best_leaves(system: CompiledSystem, extra, nums: Sequence[np.ndarray],
-                 den: np.ndarray) -> list[tuple[float, SolveResult]] | None:
+def _best_leaves(system: CompiledSystem, nums: Sequence[np.ndarray], den: np.ndarray):
     """For each numerator, the largest ``num/den`` over the leaves of the
-    parameter box with its solve, from one search; ``None`` when no cell
-    is feasible.  A cell is dropped when no numerator's relaxed optimum
-    can beat that numerator's best leaf so far: the interval rows relax
-    the parameter rows, so that optimum bounds the cell from outside."""
+    parameter box with its solve and program, from one search; ``None``
+    when no leaf has a point with ``den > 0``.  A cell is dropped when no
+    numerator's relaxed optimum can beat that numerator's best leaf so
+    far: the interval rows relax the parameter rows, so that optimum
+    bounds the cell from outside."""
     best = [None] * len(nums)
+    linear = np.ptp(den[1:system.mass_dim]) == 0.0
 
     def promising(program: LinearProgram, cells: tuple) -> bool:
-        return any(b is None or _level(program, num, den, b[0])[0] > b[0]
+        return any(b is None or solve(program, num - b[0] * den).value > ZERO_TOL
                    for num, b in zip(nums, best))
 
-    for program, res, _ in _leaves(system, extra, keep=promising):
+    for program, res, _, _ in _leaves(system, keep=promising):
+        if best[0] is None and float(den @ res.point) <= ZERO_TOL:
+            res = solve(program, den)
+            if res.value <= ZERO_TOL:
+                continue  # the query is undefined on this leaf
         for i, num in enumerate(nums):
             v = float(num @ res.point) / float(den @ res.point) if best[i] is None else best[i][0]
-            best[i] = _quotient_max(program, num, den, v) or best[i] or (v, res)
+            best[i] = _quotient_max(program, num, den, v, linear) or best[i] or (v, res, program)
     return None if best[0] is None else best
 
 
@@ -589,34 +611,37 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     parameter value) satisfying the system.
 
     ``Bel(f | g)`` is the quotient ``num(m) / den(m)`` with ``num =
-    Bel(f or not g) - Bel(not g)`` and ``den = 1 - Bel(not g)``, kept
-    above ``EPS_QUERY_GUARD``; an unconditional query has ``not g``
-    empty, so ``den`` is 1.  Each end is the best optimum of that quotient
-    over the leaves of the parameter box, found by Dinkelbach's method in
-    one search for both ends, and is reported as the value its witness
-    attains.
+    Bel(f or not g) - Bel(not g)`` and ``den = 1 - Bel(not g)``; an
+    unconditional query has ``not g`` empty, so ``den`` is 1.  Each end is
+    the best optimum of that quotient over the closure of the strict
+    system, on the leaves of the parameter box, found by Dinkelbach's
+    method in one search for both ends.  Since ``num`` is 0 wherever
+    ``den`` is, that optimum is attained at a point with ``den > 0``.
+    Each end is reported as the value its witness attains, and is open
+    when no point that attains it meets every strict row strictly (see
+    :func:`_end_witness`).
     """
-    f_bits, g_bits = _term_bits(system, query)
-    not_g = 0 if g_bits is None else system.frame.full_bits ^ g_bits
+    frame = system.frame
+    f_bits = extension_bits(frame, query.target)
+    not_g = 0 if query.evidence is None else frame.full_bits ^ extension_bits(frame, query.evidence)
     bel_not_g = system.bel_vector(not_g)
-    num = system.bel_vector(f_bits | not_g) - bel_not_g
-    den = 1.0 - bel_not_g  # every row set holds sum(m) = 1
-    extra = () if g_bits is None else ((bel_not_g, "<=", 1.0 - EPS_QUERY_GUARD),)
+    num = _objective(system, system.bel_vector(f_bits | not_g) - bel_not_g)
+    den = _objective(system, 1.0 - bel_not_g)  # every row set holds sum(m) = 1
 
-    found = _best_leaves(system, extra, (num, -num), den)
+    found = _best_leaves(system, (num, -num), den)
     if found is None:
         if next(_leaves(system), None) is None:
             raise InfeasibleSystem("the constraint system is infeasible")
         raise QueryUndefinedEverywhere(
             f"every feasible belief function makes {query.render(system.frame)} undefined")
-    (_, hi_res), (_, lo_res) = found
-    w_hi = MassFunction.from_vector(system.frame, hi_res.point)
-    w_lo = MassFunction.from_vector(system.frame, lo_res.point)
-    hi = min(max(_oracle_value(system, query, w_hi), 0.0), 1.0)
-    lo = min(max(_oracle_value(system, query, w_lo), 0.0), 1.0)
+    hi_point, hi_open = _end_witness(system, num, den, found[0])
+    lo_point, lo_open = _end_witness(system, -num, den, found[1])
+    w_hi = MassFunction.from_vector(system.frame, hi_point[:system.mass_dim])
+    w_lo = MassFunction.from_vector(system.frame, lo_point[:system.mass_dim])
+    hi = min(max(evaluate_term(w_hi, query), 0.0), 1.0)
+    lo = min(max(evaluate_term(w_lo, query), 0.0), 1.0)
     lo = min(lo, hi)
-    return BoundsResult(lo, hi, _open_flag(system, lo_res.point),
-                        _open_flag(system, hi_res.point), w_lo, w_hi)
+    return BoundsResult(lo, hi, lo_open, hi_open, w_lo, w_hi)
 
 
 def surprise_report(system: CompiledSystem, event: Formula,
@@ -630,25 +655,25 @@ def surprise_report(system: CompiledSystem, event: Formula,
 # Minimum commitment
 
 def lower_envelope(system: CompiledSystem) -> np.ndarray:
-    """Pointwise minimum of ``Bel`` over the feasible set, indexed by
-    subset bitmask.  One leaf is taken inside each feasible parameter cell
-    at grid resolution.  The solve that finds a leaf feasible minimizes
-    the first subset's belief, and the other subsets' LPs over that leaf
-    start from it."""
+    """Pointwise minimum of ``Bel`` over the closure of the feasible set,
+    indexed by subset bitmask.  One leaf is taken inside each strictly
+    feasible parameter cell at grid resolution.  The solve that finds a
+    leaf feasible minimizes the first subset's belief, and the other
+    subsets' LPs over that leaf start from it."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope needs 2^{n} solves; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
     env = np.ones(full + 1)
     env[0] = 0.0
-    first = system.bel_vector(1)
+    first = _objective(system, system.bel_vector(1))
     leaves = 0
-    for program, res, cells in _leaves(system, width=1.0 / system.grid, objective=first):
+    for program, res, _, cells in _leaves(system, width=1.0 / system.grid, objective=first):
         if system.num_params:
             leaf = next(_leaves(system, box=cells, objective=first), None)
             if leaf is None:
                 continue
-            program, res, _ = leaf
+            program, res, _, _ = leaf
         leaves += 1
         if leaves > _LEAF_CAP:
             raise CompileError(
@@ -656,7 +681,8 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
                 "exhaustive envelope; tighten the constraints")
         env[1] = min(env[1], res.value)
         for s in range(2, full):
-            env[s] = min(env[s], solve(program, system.bel_vector(s), maximize=False).value)
+            env[s] = min(env[s], solve(program, _objective(system, system.bel_vector(s)),
+                                       maximize=False).value)
     if not leaves:
         raise InfeasibleSystem("the constraint system is infeasible")
     return np.clip(env, 0.0, 1.0)
@@ -674,7 +700,9 @@ def evaluate_term(mass: MassFunction, term: BelTerm) -> float:
 
 def constraint_satisfied(mass: MassFunction, constraint: Constraint, *,
                          tol: float = 1e-6) -> bool:
-    """Check a constraint against a mass function by direct evaluation."""
+    """Check a constraint against a mass function by direct evaluation;
+    ``tol`` forgives rounding on ``=``, ``<=`` and ``>=``, and a strict
+    relation holds only when it holds strictly."""
     try:
         lhs = fsum(coef * evaluate_term(mass, term) for coef, term in constraint.terms)
     except ConditioningUndefined:
@@ -688,8 +716,8 @@ def constraint_satisfied(mass: MassFunction, constraint: Constraint, *,
     if op == ">=":
         return lhs >= c - tol
     if op == "<":
-        return lhs <= c - EPS_STRICT + tol
-    return lhs >= c + EPS_STRICT - tol
+        return lhs < c
+    return lhs > c
 
 
 def mincommit(system: CompiledSystem) -> MassFunction | None:

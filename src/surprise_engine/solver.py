@@ -1,14 +1,15 @@
-"""Dense linear-program kernel over the mass simplex.
+"""Dense linear-program kernel in general form.
 
-Every program here optimizes (or merely satisfies) linear rows over
-vectors constrained to ``x >= 0`` and ``sum(x) = 1``, with selected
-coordinates pinned to zero (the empty-set coordinate of a mass vector).
-The implementation is a two-phase simplex on a dense tableau.  Each
-pivot enters the column with the most negative reduced cost (Dantzig's
-rule); after ``BLAND_AFTER`` consecutive pivots that do not move the
-point, the rest of that phase enters the first improving column instead
-(Bland's rule), which cannot cycle (Bland 1977).  Ties go to the lowest
-index, so runs are deterministic.
+A program is a set of rows ``A x relop b`` over ``x >= 0``, with relop
+one of ``<=``, ``>=``, ``=``, and selected coordinates pinned to zero.
+The kernel knows nothing of mass functions: the row ``sum(m) = 1`` of a
+mass vector comes with the program's rows like any other.  The
+implementation is a two-phase simplex on a dense tableau.  Each pivot
+enters the column with the most negative reduced cost (Dantzig's rule);
+after ``BLAND_AFTER`` consecutive pivots that do not move the point, the
+rest of that phase enters the first improving column instead (Bland's
+rule), which cannot cycle (Bland 1977).  Ties go to the lowest index, so
+runs are deterministic.
 
 A program holds only its rows; the objective comes with each solve.
 The first solve of a program runs phase 1 and keeps its outcome on the
@@ -42,7 +43,7 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class LinearProgram:
-    """Rows over ``num_vars`` simplex-constrained variables.
+    """Rows over ``num_vars`` nonnegative variables.
 
     ``rows`` is a sequence of ``(coefficients, relop, constant)`` with
     relop one of ``<=``, ``>=``, ``=``.  ``zero_vars`` are coordinate
@@ -86,7 +87,6 @@ class SolveResult:
     status: str
     value: float | None = None
     point: np.ndarray | None = None
-    dual_value: float | None = None
     pivots: int = 0
 
 
@@ -129,7 +129,7 @@ def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> in
         column = T[:, col]
         rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            raise SolverError("unbounded direction on a simplex-constrained program")
+            raise SolverError("the program is unbounded in the objective's direction")
         ratios = rhs[rows] / column[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
@@ -143,24 +143,19 @@ def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> in
 
 
 def _standard_form(lp: LinearProgram):
-    """Tableau of ``A x (+ slack) (+ artificial) = b`` with ``b >= 0``, the
-    mass-simplex row last.  Returns the kept (unpinned) coordinates, the
-    tableau, its initial basis, the artificial columns and the number of
-    structural plus slack columns."""
+    """Tableau of ``A x (+ slack) (+ artificial) = b`` with ``b >= 0``.
+    Returns the kept (unpinned) coordinates, the tableau, its initial
+    basis, the artificial columns and the number of structural plus slack
+    columns."""
     keep = np.delete(np.arange(lp.num_vars), lp.zero_vars)
     n = keep.size
     if n == 0:
         raise SolverError("every variable is pinned to zero")
 
-    m = len(lp.relops) + 1
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    ops = list(lp.relops) + ["="]
-    if len(lp.relops):
-        A[:-1] = lp.row_coeffs[:, keep]
-        b[:-1] = lp.consts
-    A[-1] = 1.0
-    b[-1] = 1.0
+    m = len(lp.relops)
+    A = lp.row_coeffs[:, keep]
+    b = lp.consts.copy()
+    ops = list(lp.relops)
     for i in range(m):
         if b[i] < 0:
             A[i] = -A[i]
@@ -200,11 +195,8 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
     """Phase 1 of a program: drive the artificial variables to zero.
     Returns the outcome the program keeps, with the pivot count: either
     ``INFEASIBLE``, or the kept coordinates, the feasible tableau without
-    artificial columns or redundant rows, its basis, and the standard-form
-    ``A`` and ``b`` that the dual value needs."""
+    artificial columns or redundant rows, and its basis."""
     keep, T, basis, art_cols, width = _standard_form(lp)
-    A_std = T[:, :width].copy()
-    b_std = T[:, -1].copy()
     art_set = set(art_cols)
     z = np.zeros(T.shape[1])
     z[art_cols] = 1.0
@@ -230,8 +222,7 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
     T = np.hstack([T[:, :width], T[:, -1:]])
     if dropped:
         T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
-        A_std, b_std = np.delete(A_std, dropped, axis=0), np.delete(b_std, dropped)
-    return (keep, T, basis, A_std, b_std), pivots
+    return (keep, T, basis), pivots
 
 
 def _point(num_vars: int, keep: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -262,7 +253,7 @@ def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
         lp._phase1, pivots = _phase1(lp, max_pivots)
     if lp._phase1 is INFEASIBLE:
         return SolveResult(INFEASIBLE, pivots=pivots)
-    keep, T, basis, A_std, b_std = lp._phase1
+    keep, T, basis = lp._phase1
     if objective is None:
         point = _point(lp.num_vars, keep, T, basis)
         _verify(lp, point)
@@ -282,35 +273,13 @@ def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
 
     point = _point(lp.num_vars, keep, T, basis)
     _verify(lp, point)
-    value = float(objective @ point)
-    dual = _dual_value(A_std, b_std, cost[:width], basis, maximize)
-    return SolveResult(OPTIMAL, value=value, point=point, dual_value=dual, pivots=pivots)
-
-
-def _dual_value(A_std: np.ndarray, b_std: np.ndarray, cost: np.ndarray,
-                basis: np.ndarray, maximize: bool) -> float | None:
-    """Objective value certified by the final basis multipliers."""
-    try:
-        B = A_std[:, basis]
-        y = np.linalg.solve(B.T, cost[basis])
-    except np.linalg.LinAlgError:
-        return None
-    dual_min = float(y @ b_std)
-    return -dual_min if maximize else dual_min
+    return SolveResult(OPTIMAL, value=float(objective @ point), point=point, pivots=pivots)
 
 
 def _verify(lp: LinearProgram, point: np.ndarray) -> None:
     """Surface numerical failures as diagnostics instead of silent garbage."""
     if point.min() < -RESIDUAL_TOL:
         raise SolverError(f"solution has negative coordinate {point.min()}")
-    if abs(point.sum() - 1.0) > RESIDUAL_TOL:
-        raise SolverError(f"solution mass {point.sum()} drifted from 1")
-    if len(lp.relops):
-        lhs = lp.row_coeffs @ point
-        for i, op in enumerate(lp.relops):
-            resid = lhs[i] - lp.consts[i]
-            bad = (op == "=" and abs(resid) > RESIDUAL_TOL) or \
-                  (op == "<=" and resid > RESIDUAL_TOL) or \
-                  (op == ">=" and resid < -RESIDUAL_TOL)
-            if bad:
-                raise SolverError(f"row {i} violated by {resid} at the returned point")
+    for i, (op, resid) in enumerate(zip(lp.relops, lp.row_coeffs @ point - lp.consts)):
+        if (abs(resid) if op == "=" else resid if op == "<=" else -resid) > RESIDUAL_TOL:
+            raise SolverError(f"row {i} violated by {resid} at the returned point")

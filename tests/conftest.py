@@ -6,13 +6,21 @@ stay predictable; structural properties use hypothesis.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from surprise_engine import MassFunction, ProductFrame
+from surprise_engine import LinearProgram, MassFunction, ProductFrame
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
+
+
+def simplex_program(num_vars: int, rows, *, zero_vars=()) -> LinearProgram:
+    """A program over the probability simplex: the rows plus ``sum(x) = 1``,
+    which the general-form kernel takes as one more row."""
+    return LinearProgram(num_vars, list(rows) + [(np.ones(num_vars), "=", 1.0)],
+                         zero_vars=zero_vars)
 
 
 def random_frame(rng: random.Random, max_points: int = 8) -> ProductFrame:

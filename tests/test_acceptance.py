@@ -97,10 +97,13 @@ def test_criterion_2_impossibility_suite():
         witnesses.append(mc)
     rng = random.Random(4)
     for _ in range(20):
+        # a vertex of the closure, moved halfway to the strict witness,
+        # meets both strict rows strictly
         objective = np.array([rng.uniform(-1, 1) for _ in range(system4.mass_dim)])
-        sol = solve(constraints._program(system4, ()), objective,
+        sol = solve(constraints._program(system4), constraints._objective(system4, objective),
                     maximize=rng.random() < 0.5)
-        witnesses.append(MassFunction.from_vector(pac, sol.point))
+        point = 0.5 * (sol.point[:system4.mass_dim] + res.witness.to_vector())
+        witnesses.append(MassFunction.from_vector(pac, point))
     for w in witnesses:
         assert not w.is_consonant()
     report(2, "additivity breaks sets 3/5/6; set 4 feasible with no consonant witness")
@@ -378,7 +381,7 @@ def test_criterion_7_minimum_commitment_dominance():
             continue
         for _ in range(20):
             objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-            sol = solve(constraints._program(system, ()), objective,
+            sol = solve(constraints._program(system), objective,
                         maximize=rng.random() < 0.5)
             witness = MassFunction.from_vector(frame, sol.point)
             assert leq_committed(result, witness, tol=1e-6)

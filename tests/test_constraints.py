@@ -117,6 +117,20 @@ class TestCompile:
         assert np.array_equal(row.coeffs, expected)
         assert row.relop == "=" and row.const == 0.3
 
+    def test_bel_vector_indicates_the_subsets(self):
+        # reference: walk the sub-bitmasks of each subset one by one
+        frame = ProductFrame([("A", ("a", "b", "c")), ("B", ("Yes", "No"))])
+        system = compile_constraints([], frame)
+        for bits in range(frame.full_bits + 1):
+            expected = np.zeros(system.mass_dim)
+            sub = bits
+            while True:
+                expected[sub] = 1.0
+                if sub == 0:
+                    break
+                sub = (sub - 1) & bits
+            assert np.array_equal(system.bel_vector(bits), expected)
+
     def test_conditional_cleared_row_matches_oracle(self, rng):
         # Row satisfaction must coincide with condition()+belief() values.
         frame = ProductFrame([("M", ("Yes", "No")), ("P", ("Yes", "No"))])
@@ -158,13 +172,26 @@ class TestCompile:
         system = compile_constraints([con], frame)
         guards = [r for r in system.static_rows if isinstance(r.origin, str)]
         assert len(guards) == 1
-        assert guards[0].relop == "<=" and guards[0].const == pytest.approx(1 - 1e-9)
+        # Bel(not P) < 1, kept exact: the constant is 1 and the row is strict
+        assert guards[0].relop == "<=" and guards[0].const == 1.0 and guards[0].strict
+        program = constraints._program(system)
+        assert program.num_vars == system.mass_dim + 1
+        assert program.row_coeffs[-2, -1] == 1.0  # the guard's slack column
 
     def test_strict_rows_get_slack(self, hire_frame):
         con = parse_constraint("Bel(HIRE) > 0", hire_frame)
         system = compile_constraints([con], hire_frame)
         row = system.static_rows[0]
-        assert row.relop == ">=" and row.const == pytest.approx(1e-6) and row.strict
+        assert row.relop == ">=" and row.const == 0.0 and row.strict
+        # one shared column delta: Bel(HIRE) - delta >= 0, and 0 on the mass row
+        program = constraints._program(system)
+        assert program.num_vars == system.mass_dim + 1
+        assert list(program.row_coeffs[:, -1]) == [-1.0, 0.0]
+        assert list(program.relops) == [">=", "="]
+        # a system without strict rows or guards gets no slack column
+        plain = compile_constraints([parse_constraint("Bel(HIRE) >= 0.5", hire_frame)],
+                                    hire_frame)
+        assert constraints._program(plain).num_vars == plain.mass_dim
 
     def test_theta_cap(self):
         frame = ProductFrame([(f"V{i}", ("Yes", "No")) for i in range(13)])
@@ -192,6 +219,19 @@ class TestFeasibility:
                 parse_constraint("Bel(not HIRE) = 0", hire_frame),
                 parse_constraint("Bel(HIRE) + Bel(not HIRE) = 1", hire_frame)]
         assert not feasible(compile_constraints(cons, hire_frame)).feasible
+
+    def test_tautological_conditional_below_one_is_infeasible(self):
+        # Bel(A | A) is 1 wherever it is defined, so no belief function
+        # meets the second row, and that row alone is the conflict
+        frame = ProductFrame([("V0", ("v0", "v1", "v2"))])
+        cons = [parse_constraint("Bel(V0=v1) > 0", frame),
+                parse_constraint("Bel(V0=v1 | V0=v1) < 1", frame)]
+        system = compile_constraints(cons, frame)
+        assert not feasible(system).feasible
+        assert conflict_core(system) == [1]
+        assert feasible(compile_constraints(cons[:1], frame)).feasible
+        with pytest.raises(InfeasibleSystem):
+            bounds(system, term(frame, "V0=v0"))
 
     def test_witness_satisfies_all_constraints(self, rng):
         for _ in range(20):
@@ -387,14 +427,12 @@ class TestBounds:
 
 
 def _charnes_cooper(linprog, system, f_bits, evidence, maximize):
-    """Optimum of Bel(f | g) = num(m) / den(m) over the system's rows,
-    with the query guard, as one LP in y = t*m and t = 1/den(m)."""
+    """Optimum of Bel(f | g) = num(m) / den(m) over the closure of the
+    system's rows, as one LP in y = t*m and t = 1/den(m)."""
     not_g = 0 if evidence is None else system.frame.full_bits ^ evidence.bits
     bel_not_g = system.bel_vector(not_g)
     num = system.bel_vector(f_bits | not_g) - bel_not_g
     rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
-    if evidence is not None:
-        rows.append((bel_not_g, "<=", 1.0 - constraints.EPS_QUERY_GUARD))
     a_ub, b_ub = [], []
     a_eq = [np.append(np.ones(system.mass_dim), -1.0), np.append(1.0 - bel_not_g, 0.0)]
     b_eq = [0.0, 1.0]
@@ -502,7 +540,7 @@ class TestMincommit:
 
 def _random_feasible_witness(system, rng):
     objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-    res = solve(constraints._program(system, ()), objective, maximize=rng.random() < 0.5)
+    res = solve(constraints._program(system), objective, maximize=rng.random() < 0.5)
     return MassFunction.from_vector(system.frame, res.point)
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,43 @@ def test_bunker_bounds_lp_budget(capsys, monkeypatch):
     assert main(["bounds", str(bundled_scenario("bunker.bel"))]) == EXIT_OK
     assert capsys.readouterr().out == "QUERY military_given_both = [0.88, 0.88]\n"
     assert len(solves) <= 600
+
+
+TAUTOLOGY_BELOW_ONE = ("[variables]\nV0: v0, v1, v2\n\n[constraints]\n"
+                       "Bel(V0=v1) > 0\nBel(V0=v1 | V0=v1) < 1\n")
+
+
+def test_strict_conditional_row_is_a_conflict(capsys, tmp_path):
+    # Bel(A | A) is 1 wherever it is defined, so the second row alone
+    # is unsatisfiable
+    path = tmp_path / "strict.bel"
+    path.write_text(TAUTOLOGY_BELOW_ONE)
+    assert main(["check", str(path)]) == EXIT_INFEASIBLE
+    lines = capsys.readouterr().out.splitlines()
+    assert "CHECK infeasible" in lines
+    assert [line for line in lines if line.startswith("CONFLICT")] == [
+        "CONFLICT 1: Bel(V0=v1 | V0=v1) < 1"]
+    assert main(["bounds", str(path), "Bel(V0=v0)"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: the constraint system is infeasible\n"
+
+
+GOLDEN = Path(__file__).with_name("corpus_output.txt")
+
+
+def _corpus_output(capsys) -> str:
+    """Text output and exit code of every bundled scenario under check,
+    bounds, mincommit and classify."""
+    parts = []
+    for name in sorted(CORPUS):
+        for command in ("check", "bounds", "mincommit", "classify"):
+            code = main([command, str(bundled_scenario(name))])
+            parts.append(f"== {command} {name}: exit {code}\n{capsys.readouterr().out}")
+    return "".join(parts)
+
+
+def test_corpus_output_matches_golden_file(capsys):
+    # after an intended change of output, rewrite the file from _corpus_output
+    assert _corpus_output(capsys).splitlines() == GOLDEN.read_text().splitlines()
 
 
 SIX_VALUES = "[variables]\nV0: v0, v1, v2, v3, v4, v5\n\n[constraints]\n"

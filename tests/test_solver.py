@@ -1,4 +1,5 @@
-"""Two-phase simplex kernel over the mass simplex."""
+"""Two-phase simplex kernel in general form; the programs here put their
+points on the probability simplex through ``conftest.simplex_program``."""
 
 import random
 from itertools import combinations
@@ -9,7 +10,6 @@ import pytest
 from surprise_engine import (
     EngineError,
     IterationLimit,
-    LinearProgram,
     SolverError,
     compile_constraints,
     parse_constraint,
@@ -17,11 +17,11 @@ from surprise_engine import (
     solver,
 )
 from surprise_engine.solver import FEASIBLE, INFEASIBLE, OPTIMAL
-from conftest import random_frame, random_mass, random_subset, subset_formula
+from conftest import random_frame, random_mass, random_subset, simplex_program, subset_formula
 
 
 def test_segment_optimum():
-    lp = LinearProgram(2, [([1.0, 0.0], "=", 0.3)])
+    lp = simplex_program(2, [([1.0, 0.0], "=", 0.3)])
     res = solve(lp, [0.0, 1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.7, abs=1e-9)
@@ -29,13 +29,13 @@ def test_segment_optimum():
 
 
 def test_conflicting_rows_infeasible():
-    lp = LinearProgram(2, [([1, 0], ">=", 0.6), ([1, 0], "<=", 0.4)])
+    lp = simplex_program(2, [([1, 0], ">=", 0.6), ([1, 0], "<=", 0.4)])
     assert solve(lp).status == INFEASIBLE
 
 
 def test_feasibility_without_objective():
-    lp = LinearProgram(4, [([0, 1, 0, 0], "=", 0.0), ([0, 0, 1, 0], "=", 0.0)],
-                       zero_vars=(0,))
+    lp = simplex_program(4, [([0, 1, 0, 0], "=", 0.0), ([0, 0, 1, 0], "=", 0.0)],
+                         zero_vars=(0,))
     res = solve(lp)
     assert res.status == FEASIBLE
     assert res.point[0] == 0.0
@@ -46,7 +46,7 @@ def test_hire_system_vertex_is_vacuous():
     # mass coordinates over subsets of a 2-point space: indices 0=empty,
     # 1={yes}, 2={no}, 3=theta; constraints force everything onto theta.
     rows = [([0, 1, 0, 0], "=", 0.0), ([0, 0, 1, 0], "=", 0.0)]
-    lp = LinearProgram(4, rows, zero_vars=(0,))
+    lp = simplex_program(4, rows, zero_vars=(0,))
     res = solve(lp)
     assert np.allclose(res.point, [0, 0, 0, 1], atol=1e-9)
     # cross-check against exhaustive vertex enumeration at this dimension
@@ -87,31 +87,31 @@ def _enumerate_vertices(num_vars, rows, zero_vars=()):
     return vertices
 
 
+def _grid(num_vars, steps):
+    """Every point of the simplex at resolution 1/steps, one per row."""
+    bars = np.array(list(combinations(range(steps + num_vars - 1), num_vars - 1)))
+    edges = np.hstack([np.full((len(bars), 1), -1), bars.reshape(len(bars), -1),
+                       np.full((len(bars), 1), steps + num_vars - 1)])
+    return (np.diff(edges, axis=1) - 1) / steps
+
+
+def _margin(points, rows):
+    """By how much each point satisfies its worst row: negative when it
+    violates one."""
+    worst = np.full(len(points), np.inf)
+    for c, op, rhs in rows:
+        v = points @ np.asarray(c, float) - rhs
+        worst = np.minimum(worst, -abs(v) if op == "=" else -v if op == "<=" else v)
+    return worst
+
+
 def _grid_optimum(num_vars, rows, objective, maximize, steps):
     """Dense grid search over the simplex at resolution 1/steps."""
-    best = None
-
-    def rec(prefix, remaining):
-        nonlocal best
-        if len(prefix) == num_vars - 1:
-            x = np.array(prefix + [remaining], dtype=float) / steps
-            for c, op, rhs in rows:
-                v = float(np.asarray(c, float) @ x)
-                if op == "=" and abs(v - rhs) > 1e-9:
-                    return
-                if op == "<=" and v > rhs + 1e-9:
-                    return
-                if op == ">=" and v < rhs - 1e-9:
-                    return
-            val = float(np.asarray(objective, float) @ x)
-            if best is None or (val > best if maximize else val < best):
-                best = val
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], steps)
-    return best
+    points = _grid(num_vars, steps)
+    values = points[_margin(points, rows) >= -1e-9] @ np.asarray(objective, float)
+    if not values.size:
+        return None
+    return float(values.max() if maximize else values.min())
 
 
 def test_agreement_with_grid_search_small():
@@ -124,12 +124,13 @@ def test_agreement_with_grid_search_small():
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.0, 0.8)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
         maximize = rng.random() < 0.5
-        res = solve(LinearProgram(n, rows), objective, maximize=maximize)
+        res = solve(simplex_program(n, rows), objective, maximize=maximize)
         steps = 400
         grid = _grid_optimum(n, rows, objective, maximize, steps)
         if res.status == INFEASIBLE:
-            # a strictly feasible grid point would refute infeasibility
-            assert grid is None or True  # grid tolerance may admit boundary points
+            # a grid point inside every row by more than the spacing would
+            # refute infeasibility
+            assert _margin(_grid(n, steps), rows).max() <= 1.0 / steps
             continue
         assert grid is not None
         assert res.value == pytest.approx(grid, abs=5e-3)
@@ -144,7 +145,7 @@ def test_agreement_with_grid_search_wider():
             coeffs = [rng.uniform(-1, 1) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.1, 0.9)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
-        res = solve(LinearProgram(n, rows), objective, maximize=True)
+        res = solve(simplex_program(n, rows), objective, maximize=True)
         steps = 25
         grid = _grid_optimum(n, rows, objective, True, steps)
         if res.status == INFEASIBLE:
@@ -156,28 +157,12 @@ def test_agreement_with_grid_search_wider():
         assert res.value <= grid + slack
 
 
-def test_duality_certificate():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        rows = []
-        for _ in range(rng.randint(0, 4)):
-            coeffs = [rng.uniform(-1, 1) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["<=", ">=", "="]),
-                         rng.uniform(0.0, 0.5)))
-        objective = [rng.uniform(-1, 1) for _ in range(n)]
-        res = solve(LinearProgram(n, rows), objective, maximize=rng.random() < 0.5)
-        if res.status != OPTIMAL or res.dual_value is None:
-            continue
-        assert res.value == pytest.approx(res.dual_value, abs=1e-6)
-
-
 def test_determinism():
     rng = random.Random(5)
     rows = [([rng.uniform(-1, 1) for _ in range(6)], "<=", 0.4) for _ in range(4)]
     objective = [rng.uniform(-1, 1) for _ in range(6)]
-    first = solve(LinearProgram(6, rows), objective)
-    lp = LinearProgram(6, rows)
+    first = solve(simplex_program(6, rows), objective)
+    lp = simplex_program(6, rows)
     second = solve(lp, objective)
     assert first.pivots == second.pivots
     assert first.value == second.value
@@ -188,7 +173,7 @@ def test_determinism():
 
 
 def test_iteration_limit_is_distinct_from_infeasible():
-    lp = LinearProgram(3, [([1, 1, 0], "<=", 0.9)])
+    lp = simplex_program(3, [([1, 1, 0], "<=", 0.9)])
     with pytest.raises(IterationLimit):
         solve(lp, [1.0, 2.0, 3.0], max_pivots=0)
 
@@ -201,7 +186,7 @@ def test_returned_point_satisfies_rows():
         for _ in range(rng.randint(1, 5)):
             coeffs = [rng.uniform(-1, 1) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.uniform(0.0, 0.4)))
-        lp = LinearProgram(n, rows)
+        lp = simplex_program(n, rows)
         res = solve(lp)
         if res.status == INFEASIBLE:
             continue
@@ -219,11 +204,11 @@ def test_returned_point_satisfies_rows():
 
 def test_row_width_validation():
     with pytest.raises(SolverError):
-        LinearProgram(3, [([1, 2], "=", 0.5)])
+        simplex_program(3, [([1, 2], "=", 0.5)])
     with pytest.raises(SolverError):
-        LinearProgram(3, [([1, 2, 3], "!!", 0.5)])
+        simplex_program(3, [([1, 2, 3], "!!", 0.5)])
     with pytest.raises(SolverError):
-        solve(LinearProgram(3, [([1, 2, 3], "=", 0.5)]), [1.0, 2.0])
+        solve(simplex_program(3, [([1, 2, 3], "=", 0.5)]), [1.0, 2.0])
 
 
 def _random_rows(rng, n, count):
@@ -238,25 +223,23 @@ def test_warm_start_matches_cold_solve():
         n = rng.randint(2, 10)
         rows = _random_rows(rng, n, rng.randint(0, 5))
         zero_vars = (0,) if rng.random() < 0.5 else ()
-        lp = LinearProgram(n, rows, zero_vars=zero_vars)
+        lp = simplex_program(n, rows, zero_vars=zero_vars)
         if solve(lp).status == INFEASIBLE:
             continue
         for _ in range(6):
             objective = [rng.uniform(-1, 1) for _ in range(n)]
             maximize = rng.random() < 0.5
             warm = solve(lp, objective, maximize=maximize)
-            cold = solve(LinearProgram(n, rows, zero_vars=zero_vars), objective,
+            cold = solve(simplex_program(n, rows, zero_vars=zero_vars), objective,
                          maximize=maximize)
             assert warm.status == cold.status == OPTIMAL
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
-            if warm.dual_value is not None:
-                assert warm.dual_value == pytest.approx(warm.value, abs=1e-6)
             checked += 1
     assert checked >= 60
 
 
 def test_infeasible_program_stays_infeasible():
-    lp = LinearProgram(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)])
+    lp = simplex_program(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)])
     assert solve(lp).status == INFEASIBLE
     for objective in ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]):
         for maximize in (True, False):
@@ -286,11 +269,11 @@ def test_bland_fallback_agrees_with_default_rule(monkeypatch, threshold):
         rows = _degenerate_rows(rng, n)
         maximize = rng.random() < 0.5
         cases.append((n, rows, objective, maximize,
-                      solve(LinearProgram(n, rows), objective, maximize=maximize)))
+                      solve(simplex_program(n, rows), objective, maximize=maximize)))
     monkeypatch.setattr(solver, "BLAND_AFTER", threshold)
     for n, rows, objective, maximize, default in cases:
         # a fresh program, so that phase 1 also runs under the fallback
-        res = solve(LinearProgram(n, rows), objective, maximize=maximize)
+        res = solve(simplex_program(n, rows), objective, maximize=maximize)
         assert res.status == default.status == OPTIMAL
         assert res.value == pytest.approx(default.value, abs=1e-9)
 
@@ -359,11 +342,11 @@ def _marginal(linprog, num_vars, rows):
 
 
 def test_agrees_with_highs_on_compiled_systems():
-    """Differential check against an independent LP solver.  The two may
-    disagree on feasibility only where a row is missed by less than 1e-6:
-    guard rows such as ``Bel(not B) <= 1 - 1e-9`` sit inside HiGHS's own
-    tolerance.  A numerical failure must raise, and only on such a
-    marginal system."""
+    """Differential check against an independent LP solver, over the
+    closure of each compiled system (its rows without the slack column of
+    strict rows and guards).  The two may disagree on feasibility only
+    where a row is missed by less than 1e-6, inside HiGHS's own tolerance.
+    A numerical failure must raise, and only on such a marginal system."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = random.Random(31)
     compared = margin_only = 0
@@ -389,7 +372,7 @@ def test_agrees_with_highs_on_compiled_systems():
         objective = system.bel_vector(random_subset(frame, rng).bits)
         for maximize in (True, False):
             try:
-                ours = solve(LinearProgram(system.mass_dim, rows, zero_vars=(0,)),
+                ours = solve(simplex_program(system.mass_dim, rows, zero_vars=(0,)),
                              objective, maximize=maximize)
             except SolverError:
                 assert _marginal(linprog, system.mass_dim, rows)
