@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="scenario file (.bel)")
         p.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
                        help="override a constant or config flag")
-        p.add_argument("--grid", type=int, default=None, help="parameter sweep resolution")
+        p.add_argument("--grid", type=int, default=None, help="ignored; kept for old command lines")
         p.add_argument("--max-theta", type=int, default=None,
                        help="cap on product-space points at compile time")
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
@@ -412,8 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.grid is not None:
-        scenario.config.grid = args.grid
     if args.max_theta is not None:
         scenario.config.max_theta = args.max_theta
 

@@ -21,19 +21,22 @@ The strict system is feasible iff ``delta`` can be made positive, and
 bounds optimize over its closure, ``delta >= 0``, with an end open when
 no point that attains it meets every strict row strictly.
 
-Feasibility, bounds and the lower envelope share one depth-first
-branch-and-prune over the box of parameter values, in which each cell
-relaxes the parameterized rows to interval rows; a parameter-free system
-is the zero-dimensional box.  A query is a quotient of two linear
-functions of the mass vector, and each end of its bounds is the best
-optimum of that quotient over the leaves of the box, found by
-Dinkelbach's method with the LPs of the kernel.
+One branch-and-prune routine searches the box of parameter values,
+tightened first at the root; each cell relaxes the parameterized rows to
+interval rows, and a parameter-free system is the zero-dimensional box.
+Feasibility searches depth-first; each end of bounds and each subset of
+the lower envelope gets a best-first search keyed by the cells' relaxed
+optima.  A query is a quotient of two linear functions of the mass
+vector, optimized over a cell by Dinkelbach's method.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 from math import fsum
 from typing import Sequence
 
@@ -55,12 +58,10 @@ from .solver import INFEASIBLE, LinearProgram, solve
 # LP optima at or below this count as zero: the largest slack delta, the
 # Dinkelbach gap max(num - v*den) and the largest denominator.
 ZERO_TOL = 1e-9
-DEFAULT_GRID = 256
 DEFAULT_MAX_PARAMETERS = 2
 DEFAULT_COMPILE_MAX_THETA = 12
 MINCOMMIT_MAX_THETA = 12
 _MIN_CELL_WIDTH = 2.0 ** -30
-_LEAF_CAP = 64
 _PROBE_CAP = 20_000
 
 
@@ -312,14 +313,13 @@ class CompiledSystem:
     static_rows: list[StaticRow]
     param_rows: list[ParamRow]
     num_params: int
-    grid: int = DEFAULT_GRID
     _vec_cache: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def mass_dim(self) -> int:
         return 1 << self.frame.theta_size
 
-    @property
+    @cached_property
     def strict(self) -> bool:
         """Has the system strict rows or guards, so that its programs
         carry the slack column ``delta``?"""
@@ -337,8 +337,7 @@ class CompiledSystem:
 
 def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, *,
                         max_theta: int = DEFAULT_COMPILE_MAX_THETA,
-                        max_parameters: int = DEFAULT_MAX_PARAMETERS,
-                        grid: int = DEFAULT_GRID) -> CompiledSystem:
+                        max_parameters: int = DEFAULT_MAX_PARAMETERS) -> CompiledSystem:
     """Lower constraints to rows over the mass vector.
 
     Raises :class:`FrameTooLarge` over the cap and :class:`CompileError`
@@ -349,7 +348,7 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
         raise FrameTooLarge(
             f"frame has {frame.theta_size} points; compile cap is {max_theta} "
             f"(mass vector would have {1 << frame.theta_size} coordinates)")
-    system = CompiledSystem(frame, tuple(constraints), [], [], 0, grid=grid)
+    system = CompiledSystem(frame, tuple(constraints), [], [], 0)
     guard_bits: dict[int, int | str] = {}
     num_params = 0
     for idx, con in enumerate(constraints):
@@ -469,7 +468,7 @@ def _program(system: CompiledSystem, cells=()) -> LinearProgram:
 def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
     """A mass-vector objective over the columns of the system's programs,
     with 0 on ``delta``."""
-    return np.append(vec, 0.0) if system.strict else vec
+    return np.concatenate((vec, [0.0])) if system.strict else vec
 
 
 def _slack(system: CompiledSystem, point: np.ndarray) -> float:
@@ -487,57 +486,119 @@ def _max_delta(program: LinearProgram):
     return res.point if res.status != INFEASIBLE and res.value > ZERO_TOL else None
 
 
-def _leaves(system: CompiledSystem, *, box: tuple | None = None,
-            width: float = _MIN_CELL_WIDTH, keep=None, objective=None):
-    """Depth-first branch-and-prune over the parameter box, which is
-    zero-dimensional when the system has no parameter.
+class _Box:
+    """The parameter box of a system, with its cells' programs probed once
+    for every search of one call; a parameter-free system has one cell.
 
-    Builds one program per cell and drops the cells that are not strictly
-    feasible: a subcell's rows imply its cell's, so they are not either.
-    Yields ``(program, result, point, cell)`` for each remaining cell of
-    ``box`` (default: the whole box) no wider than ``width``, lower halves
-    first.  ``result`` is the first solve of the cell's program, which
-    minimizes ``objective`` when one is given, and ``point`` is a point of
-    the program with ``delta > 0``.  A wider cell is split along its
-    widest side unless ``keep(program, cell)`` is false.
-    """
-    stack = [tuple((0.0, 1.0) for _ in range(system.num_params)) if box is None else box]
-    probes = 0
-    while stack:
-        cells = stack.pop()
-        probes += 1
-        if probes > _PROBE_CAP:
-            raise CompileError("parameter sweep exceeded its probe budget")
+    The root is tightened first (optimization-based bound tightening,
+    Belotti et al. 2009): wherever the root relaxation holds, a row ``L +
+    t*R = 0`` puts ``t`` at ``L/(-R)``, so ``t`` lies between that
+    quotient's least and largest value, each one Dinkelbach run.  A range
+    empty by rounding collapses to its midpoint, whose phase 1 decides."""
+
+    def __init__(self, system: CompiledSystem):
+        self.system = system
+        self.probed: dict[tuple, tuple | None] = {}
+        root = tuple((0.0, 1.0) for _ in range(system.num_params))
+        found = self.cell(root)
+        if root and found is not None:
+            program, point = found
+            lo, hi = [0.0] * len(root), [1.0] * len(root)
+            for pr in system.param_rows:
+                num = _objective(system, pr.l_coeffs - pr.l_const)  # L, as sum(m) = 1
+                den = _objective(system, pr.r_const - pr.r_coeffs) if pr.r_coeffs.any() else None
+                lo[pr.param] = max(lo[pr.param], -_relaxed_max(program, point, -num, den)[0])
+                hi[pr.param] = min(hi[pr.param], _relaxed_max(program, point, num, den)[0])
+            root = tuple((a, b) if a <= b else (0.5 * (a + b),) * 2 for a, b in zip(lo, hi))
+        self.root = root
+
+    def cell(self, cells: tuple):
+        """The program of a cell and a point of it with ``delta > 0``, or
+        ``None`` when the cell is not strictly feasible."""
+        if cells not in self.probed:
+            if len(self.probed) >= _PROBE_CAP:
+                raise CompileError("parameter search exceeded its probe budget")
+            program = _program(self.system, cells)
+            res = solve(program)
+            point = None
+            if res.status != INFEASIBLE:
+                # the point in hand shows delta > 0 when every strict row has slack there
+                point = (res.point if _slack(self.system, res.point) > ZERO_TOL
+                         else _max_delta(program))
+            self.probed[cells] = None if point is None else (program, point)
+        return self.probed[cells]
+
+
+def _relaxed_max(program: LinearProgram, point: np.ndarray, num: np.ndarray, den):
+    """The largest ``num/den`` over a cell's program with a point that
+    attains it, or ``None`` when ``den`` is 0 on the whole cell.  For
+    ``den=None``, the constant 1, one solve of ``num`` is exact.  Else
+    Dinkelbach's method (Dinkelbach 1967) starts from the quotient at
+    ``point``, or at the largest ``den`` when it is 0 there, and maximizes
+    ``num - v*den``.  While that optimum is above ``ZERO_TOL`` its point
+    has ``den > 0`` (``num`` is 0 wherever ``den`` is) and a quotient
+    above ``v``, and ``v`` moves to that quotient."""
+    if den is None:
+        res = solve(program, num)
+        return res.value, res.point
+    if den @ point <= ZERO_TOL:
+        res = solve(program, den)
+        if res.value <= ZERO_TOL:
+            return None
+        point = res.point
+    while True:
+        v = float(num @ point) / float(den @ point)
+        res = solve(program, num - v * den)
+        if res.value <= ZERO_TOL:
+            return v, point
+        point = res.point
+
+
+def _search(box: _Box, num: np.ndarray | None = None, den=None):
+    """Best-first branch-and-prune for the largest ``num/den`` (see
+    :func:`_relaxed_max`) over the leaves of the box, its strictly
+    feasible cells no wider than ``_MIN_CELL_WIDTH``; without ``num``, a
+    depth-first search, lower halves first, for the first leaf.  Cells
+    that are not strictly feasible, or where ``den`` is 0, are dropped:
+    a subcell's rows imply its cell's.  A cell waits under its parent's
+    relaxed optimum, which bounds its own, until popped; it is then keyed
+    by its own and split once no cell waits under a higher key, so the
+    first leaf reached is the best: its ``(value, point, program, cells)``."""
+    order = count(1)
+    heap = [(0.0, 0, box.root, None)]
+    while heap:
+        key, rank, cells, found = heapq.heappop(heap)
+        if found is None:
+            cell = box.cell(cells)
+            if cell is None:
+                continue
+            best = (0.0, cell[1]) if num is None else _relaxed_max(*cell, num, den)
+            if best is None:
+                continue
+            key, found = -best[0], (*best, cell[0], cells)
+            if heap and heap[0] < (key, rank):  # another cell may beat it: it waits
+                heapq.heappush(heap, (key, rank, cells, found))
+                continue
         widths = [hi - lo for lo, hi in cells]
-        leaf = max(widths, default=0.0) <= width
-        program = _program(system, cells)
-        res = solve(program, objective if leaf else None, maximize=False)
-        if res.status == INFEASIBLE:
-            continue
-        # the point in hand shows delta > 0 when every strict row has slack there
-        point = res.point if _slack(system, res.point) > ZERO_TOL else _max_delta(program)
-        if point is None:
-            continue
-        if leaf:
-            yield program, res, point, cells
-            continue
-        if keep is not None and not keep(program, cells):
-            continue
+        if max(widths, default=0.0) <= _MIN_CELL_WIDTH:
+            return found
         widest = widths.index(max(widths))
         lo, hi = cells[widest]
         mid = 0.5 * (lo + hi)
-        stack.append(cells[:widest] + ((mid, hi),) + cells[widest + 1:])
-        stack.append(cells[:widest] + ((lo, mid),) + cells[widest + 1:])  # explored first
+        for half in ((mid, hi), (lo, mid)):  # a tie pops the later push: lower halves first
+            child = cells[:widest] + (half,) + cells[widest + 1:]
+            heapq.heappush(heap, (key, -next(order), child, None))
+    return None
 
 
 def feasible(system: CompiledSystem) -> FeasibilityResult:
     """Is any belief function consistent with the system?  Returns a
     witness mass function, which meets every strict row strictly, when
     so."""
-    leaf = next(_leaves(system), None)
+    leaf = _search(_Box(system))
     if leaf is None:
         return FeasibilityResult(False)
-    _, _, point, cells = leaf
+    _, point, _, cells = leaf
     witness = MassFunction.from_vector(system.frame, point[:system.mass_dim])
     params = tuple(0.5 * (lo + hi) for lo, hi in cells) if cells else None
     return FeasibilityResult(True, witness, params)
@@ -550,60 +611,14 @@ def _end_witness(system: CompiledSystem, num: np.ndarray, den: np.ndarray, end: 
     attain the end, ``num - v*den >= 0`` with ``den - delta >= 0``: the end
     is open iff that maximum is 0, and a positive one gives a witness that
     meets every strict row strictly."""
-    v, res, program = end
-    if _slack(system, res.point) > ZERO_TOL:
-        return res.point, False
+    v, point, program, _ = end
+    if _slack(system, point) > ZERO_TOL:
+        return point, False
     rows = list(zip(program.row_coeffs, program.relops, program.consts))
     attains = [(num - v * den, ">=", 0.0), (np.append(den[:-1], -1.0), ">=", 0.0)]
     face = LinearProgram(program.num_vars, rows + attains, zero_vars=program.zero_vars)
-    point = _max_delta(face)
-    return (res.point, True) if point is None else (point, False)
-
-
-def _quotient_max(program: LinearProgram, num: np.ndarray, den: np.ndarray, v: float,
-                  linear: bool):
-    """Dinkelbach's method (Dinkelbach 1967) for the largest ``num/den``
-    over the cell's program, from the level ``v``.  Each step maximizes
-    ``num - v*den``.  While that optimum is above ``ZERO_TOL``, its point
-    has ``den > 0`` (``num`` is 0 wherever ``den`` is) and a quotient
-    above ``v``, and ``v`` moves to that quotient.  A ``linear`` quotient
-    (constant ``den``) is exact after one step.  Returns the best
-    ``(quotient, result, program)`` above ``v``, or ``None`` when no point
-    of the cell beats ``v``."""
-    best = None
-    while True:
-        res = solve(program, num - v * den)
-        if res.value <= ZERO_TOL:
-            return best
-        v = float(num @ res.point) / float(den @ res.point)
-        best = (v, res, program)
-        if linear:
-            return best
-
-
-def _best_leaves(system: CompiledSystem, nums: Sequence[np.ndarray], den: np.ndarray):
-    """For each numerator, the largest ``num/den`` over the leaves of the
-    parameter box with its solve and program, from one search; ``None``
-    when no leaf has a point with ``den > 0``.  A cell is dropped when no
-    numerator's relaxed optimum can beat that numerator's best leaf so
-    far: the interval rows relax the parameter rows, so that optimum
-    bounds the cell from outside."""
-    best = [None] * len(nums)
-    linear = np.ptp(den[1:system.mass_dim]) == 0.0
-
-    def promising(program: LinearProgram, cells: tuple) -> bool:
-        return any(b is None or solve(program, num - b[0] * den).value > ZERO_TOL
-                   for num, b in zip(nums, best))
-
-    for program, res, _, _ in _leaves(system, keep=promising):
-        if best[0] is None and float(den @ res.point) <= ZERO_TOL:
-            res = solve(program, den)
-            if res.value <= ZERO_TOL:
-                continue  # the query is undefined on this leaf
-        for i, num in enumerate(nums):
-            v = float(num @ res.point) / float(den @ res.point) if best[i] is None else best[i][0]
-            best[i] = _quotient_max(program, num, den, v, linear) or best[i] or (v, res, program)
-    return None if best[0] is None else best
+    better = _max_delta(face)
+    return (point, True) if better is None else (better, False)
 
 
 def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
@@ -614,12 +629,12 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     Bel(f or not g) - Bel(not g)`` and ``den = 1 - Bel(not g)``; an
     unconditional query has ``not g`` empty, so ``den`` is 1.  Each end is
     the best optimum of that quotient over the closure of the strict
-    system, on the leaves of the parameter box, found by Dinkelbach's
-    method in one search for both ends.  Since ``num`` is 0 wherever
-    ``den`` is, that optimum is attained at a point with ``den > 0``.
-    Each end is reported as the value its witness attains, and is open
-    when no point that attains it meets every strict row strictly (see
-    :func:`_end_witness`).
+    system, on the leaves of the parameter box, found by its own search
+    (:func:`_search`); the two searches share the cells' programs.  Since
+    ``num`` is 0 wherever ``den`` is, that optimum is attained at a point
+    with ``den > 0``.  Each end is reported as the value its witness
+    attains, and is open when no point that attains it meets every strict
+    row strictly (see :func:`_end_witness`).
     """
     frame = system.frame
     f_bits = extension_bits(frame, query.target)
@@ -627,15 +642,17 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     bel_not_g = system.bel_vector(not_g)
     num = _objective(system, system.bel_vector(f_bits | not_g) - bel_not_g)
     den = _objective(system, 1.0 - bel_not_g)  # every row set holds sum(m) = 1
+    key_den = den if not_g else None  # with no evidence, den is the constant 1
 
-    found = _best_leaves(system, (num, -num), den)
-    if found is None:
-        if next(_leaves(system), None) is None:
+    box = _Box(system)
+    hi_end = _search(box, num, key_den)
+    if hi_end is None:
+        if _search(box) is None:
             raise InfeasibleSystem("the constraint system is infeasible")
         raise QueryUndefinedEverywhere(
             f"every feasible belief function makes {query.render(system.frame)} undefined")
-    hi_point, hi_open = _end_witness(system, num, den, found[0])
-    lo_point, lo_open = _end_witness(system, -num, den, found[1])
+    hi_point, hi_open = _end_witness(system, num, den, hi_end)
+    lo_point, lo_open = _end_witness(system, -num, den, _search(box, -num, key_den))
     w_hi = MassFunction.from_vector(system.frame, hi_point[:system.mass_dim])
     w_lo = MassFunction.from_vector(system.frame, lo_point[:system.mass_dim])
     hi = min(max(evaluate_term(w_hi, query), 0.0), 1.0)
@@ -656,35 +673,21 @@ def surprise_report(system: CompiledSystem, event: Formula,
 
 def lower_envelope(system: CompiledSystem) -> np.ndarray:
     """Pointwise minimum of ``Bel`` over the closure of the feasible set,
-    indexed by subset bitmask.  One leaf is taken inside each strictly
-    feasible parameter cell at grid resolution.  The solve that finds a
-    leaf feasible minimizes the first subset's belief, and the other
-    subsets' LPs over that leaf start from it."""
+    indexed by subset bitmask: for each subset, one search of the
+    parameter box (:func:`_search`) for the largest ``-Bel``, over cell
+    programs that the searches share."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope needs 2^{n} solves; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
     env = np.ones(full + 1)
     env[0] = 0.0
-    first = _objective(system, system.bel_vector(1))
-    leaves = 0
-    for program, res, _, cells in _leaves(system, width=1.0 / system.grid, objective=first):
-        if system.num_params:
-            leaf = next(_leaves(system, box=cells, objective=first), None)
-            if leaf is None:
-                continue
-            program, res, _, _ = leaf
-        leaves += 1
-        if leaves > _LEAF_CAP:
-            raise CompileError(
-                "parameter space has too many feasible cells for an "
-                "exhaustive envelope; tighten the constraints")
-        env[1] = min(env[1], res.value)
-        for s in range(2, full):
-            env[s] = min(env[s], solve(program, _objective(system, system.bel_vector(s)),
-                                       maximize=False).value)
-    if not leaves:
-        raise InfeasibleSystem("the constraint system is infeasible")
+    box = _Box(system)
+    for s in range(1, full):
+        found = _search(box, -_objective(system, system.bel_vector(s)))
+        if found is None:
+            raise InfeasibleSystem("the constraint system is infeasible")
+        env[s] = -found[0]
     return np.clip(env, 0.0, 1.0)
 
 
@@ -764,9 +767,8 @@ def conflict_core(system: CompiledSystem) -> list[int]:
     def is_feasible(subset: list[int]) -> bool:
         sub = compile_constraints([system.constraints[i] for i in subset], system.frame,
                                   max_theta=system.frame.theta_size,
-                                  max_parameters=max(system.num_params, DEFAULT_MAX_PARAMETERS),
-                                  grid=system.grid)
-        return next(_leaves(sub), None) is not None
+                                  max_parameters=max(system.num_params, DEFAULT_MAX_PARAMETERS))
+        return _search(_Box(sub)) is not None
 
     core = list(range(len(system.constraints)))
     for idx in list(core):

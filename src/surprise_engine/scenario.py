@@ -37,7 +37,6 @@ from pathlib import Path
 from .calibration import CalibrationCurve, build_curve
 from .constraints import (
     DEFAULT_COMPILE_MAX_THETA,
-    DEFAULT_GRID,
     DEFAULT_MAX_PARAMETERS,
     BelTerm,
     CompiledSystem,
@@ -59,13 +58,14 @@ _WHEN_RE = re.compile(rf"when\s+({_IDENT})\s*:\s*(.+)")
 _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
 
-_INT_CONFIG_KEYS = {"max_theta", "grid", "max_parameters"}
+_INT_CONFIG_KEYS = {"max_theta", "max_parameters"}
+# sized a parameter grid that is gone: accepted from older files and command lines, and ignored
+_IGNORED_CONFIG_KEY = "grid"
 
 
 @dataclass
 class ScenarioConfig:
     max_theta: int = DEFAULT_COMPILE_MAX_THETA
-    grid: int = DEFAULT_GRID
     max_parameters: int = DEFAULT_MAX_PARAMETERS
     flags: dict[str, bool] = field(default_factory=dict)
     constants: dict[str, float] = field(default_factory=dict)
@@ -84,8 +84,7 @@ class Scenario:
         return compile_constraints(
             self.constraints, self.frame,
             max_theta=self.config.max_theta,
-            max_parameters=self.config.max_parameters,
-            grid=self.config.grid)
+            max_parameters=self.config.max_parameters)
 
 
 def _parse_bool(value: str, line: int) -> bool:
@@ -150,11 +149,13 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
                 setattr(config, key, int(value))
             except ValueError:
                 raise ScenarioError(f"config {key!r} needs an integer", lineno) from None
-        else:
+        elif key != _IGNORED_CONFIG_KEY:
             config.flags[key] = _parse_bool(value, lineno)
 
     for key, value in (overrides or {}).items():
         value = value.strip()
+        if key == _IGNORED_CONFIG_KEY:
+            continue
         if key in _INT_CONFIG_KEYS:
             setattr(config, key, int(value))
         elif value.lower() in _TRUE_WORDS or value.lower() in _FALSE_WORDS:
@@ -244,7 +245,6 @@ def render_scenario(scenario: Scenario) -> str:
     cfg = scenario.config
     out.append("[config]")
     out.append(f"max_theta = {cfg.max_theta}")
-    out.append(f"grid = {cfg.grid}")
     out.append(f"max_parameters = {cfg.max_parameters}")
     for flag, value in sorted(cfg.flags.items()):
         out.append(f"{flag} = {'on' if value else 'off'}")

@@ -385,6 +385,60 @@ class TestBounds:
         bounds(hire_system, term(hire_system.frame, "HIRE"))
         assert len(calls) == 3
 
+    def test_infeasible_system_is_told_from_the_searched_cells(self, monkeypatch):
+        # with no strictly feasible leaf, telling "infeasible" from
+        # "undefined everywhere" reuses the programs the search probed: the
+        # root's phase 1 and its largest delta
+        frame = ProductFrame([("V0", ("v0", "v1", "v2"))])
+        system = compile_constraints([parse_constraint("Bel(V0=v1) > 0", frame),
+                                      parse_constraint("Bel(V0=v1 | V0=v1) < 1", frame)], frame)
+        calls = []
+        solve = constraints.solve
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(constraints, "solve", counting)
+        with pytest.raises(InfeasibleSystem):
+            bounds(system, term(frame, "V0=v0"))
+        assert len(calls) == 2
+
+    def test_interval_parameter_matches_a_fixed_parameter_sweep(self):
+        """A parameter whose feasible values form an interval, so that the
+        search splits cells: bounds and the lower envelope equal the best
+        optimum of LPs with the parameter fixed on a grid of step 1e-3,
+        solved by an independent LP solver."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        frame = ProductFrame([("A", ("Yes", "No")), ("B", ("Yes", "No"))])
+        system = compile_constraints([parse_constraint(t, frame) for t in (
+            "Bel(A) = Bel(A | B)", "Bel(A) >= 0.4", "Bel(A) <= 0.45",
+            "Bel(A) + Bel(not A) >= 0.9", "Bel(B) >= 0.3")], frame)
+        assert system.num_params == 1
+        ts = [t for t in np.linspace(0.0, 1.0, 1001)
+              if _charnes_cooper(linprog, system, 0, None, True, params=(t,)) is not None]
+        assert min(ts) == pytest.approx(0.4) and max(ts) == pytest.approx(0.45)
+
+        def sweep(f_bits, evidence, maximize):
+            values = [_charnes_cooper(linprog, system, f_bits, evidence, maximize, params=(t,))
+                      for t in ts]
+            return (max if maximize else min)(v for v in values if v is not None)
+
+        for target, evidence, expected in (("A", None, (0.4, 0.45)),
+                                           ("not A", None, (0.45, 0.6)),
+                                           ("B", "A", None)):
+            q = term(frame, target, evidence)
+            res = bounds(system, q)
+            f_bits = extension(frame, q.target).bits
+            g = None if evidence is None else extension(frame, q.evidence)
+            assert res.lo == pytest.approx(sweep(f_bits, g, False), abs=1e-6)
+            assert res.hi == pytest.approx(sweep(f_bits, g, True), abs=1e-6)
+            if expected is not None:
+                assert (res.lo, res.hi) == pytest.approx(expected, abs=1e-6)
+        env = lower_envelope(system)
+        for s in range(1, frame.full_bits):
+            assert env[s] == pytest.approx(sweep(s, None, False), abs=1e-6)
+
     def test_matches_charnes_cooper_lp_solved_by_highs(self):
         """On random parameter-free systems whose rows hold at an anchor
         mass function, both ends equal the optimum of the Charnes-Cooper
@@ -426,13 +480,16 @@ class TestBounds:
         assert compared >= 140
 
 
-def _charnes_cooper(linprog, system, f_bits, evidence, maximize):
+def _charnes_cooper(linprog, system, f_bits, evidence, maximize, params=()):
     """Optimum of Bel(f | g) = num(m) / den(m) over the closure of the
-    system's rows, as one LP in y = t*m and t = 1/den(m)."""
+    system's rows, with each parameter fixed at its value in ``params``,
+    as one LP in y = t*m and t = 1/den(m)."""
     not_g = 0 if evidence is None else system.frame.full_bits ^ evidence.bits
     bel_not_g = system.bel_vector(not_g)
     num = system.bel_vector(f_bits | not_g) - bel_not_g
     rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
+    rows += [(pr.l_coeffs + params[pr.param] * pr.r_coeffs, "=",
+              pr.l_const + params[pr.param] * pr.r_const) for pr in system.param_rows]
     a_ub, b_ub = [], []
     a_eq = [np.append(np.ones(system.mass_dim), -1.0), np.append(1.0 - bel_not_g, 0.0)]
     b_eq = [0.0, 1.0]
