@@ -171,8 +171,10 @@ class MassFunction:
         propositions are closed under intersection.
 
         ``A`` counts as fully believed given ``B`` when ``Bel(A|B) > 0``
-        and ``Bel(complement of A | B) = 0``.  Exhaustive over all
-        evidences and propositions, so capped at small frames.
+        and ``Bel(complement of A | B) = 0``.  That family is
+        upward-closed, so it is closed under intersection iff the
+        intersection of all its members is in it.  Exhaustive over all
+        evidences, so capped at small frames.
         """
         n = self.frame.theta_size
         if n > max_theta:
@@ -183,17 +185,11 @@ class MassFunction:
                 conditioned = self.condition(self.frame.subset(b))
             except ConditioningUndefined:
                 continue
-            focals = list(conditioned._masses)
-            believed = []
-            for a in range(full + 1):
-                inv = full ^ a
-                if any(f & ~a == 0 for f in focals) and not any(f & ~inv == 0 for f in focals):
-                    believed.append(a)
-            present = set(believed)
-            for x in believed:
-                for y in believed:
-                    if x & y not in present:
-                        return False
+            bel = belief_table(conditioned)
+            believed = (bel > 0) & (bel[::-1] == 0)  # the complement full ^ A is full - A
+            members = np.flatnonzero(believed)
+            if members.size and not believed[np.bitwise_and.reduce(members)]:
+                return False
         return True
 
     # -- misc -----------------------------------------------------------------

@@ -24,10 +24,12 @@ no point that attains it meets every strict row strictly.
 One branch-and-prune routine searches the box of parameter values,
 tightened first at the root; each cell relaxes the parameterized rows to
 interval rows, and a parameter-free system is the zero-dimensional box.
-Feasibility searches depth-first; each end of bounds and each subset of
-the lower envelope gets a best-first search keyed by the cells' relaxed
-optima.  A query is a quotient of two linear functions of the mass
-vector, optimized over a cell by Dinkelbach's method.
+Feasibility searches depth-first; each end of bounds gets a best-first
+search keyed by the cells' relaxed optima.  A query is a quotient of two
+linear functions of the mass vector, optimized over a cell by
+Dinkelbach's method.  The lower envelope walks the subsets by size and
+runs a best-first search only for a subset whose value the witnesses
+found so far and its own subsets' values leave open.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import MassFunction, mobius_transform
+from .belief import MassFunction, mobius_transform, zeta_transform
 from .errors import (
     CompileError,
     ConditioningUndefined,
@@ -673,21 +675,45 @@ def surprise_report(system: CompiledSystem, event: Formula,
 
 def lower_envelope(system: CompiledSystem) -> np.ndarray:
     """Pointwise minimum of ``Bel`` over the closure of the feasible set,
-    indexed by subset bitmask: for each subset, one search of the
-    parameter box (:func:`_search`) for the largest ``-Bel``, over cell
-    programs that the searches share."""
+    indexed by subset bitmask.
+
+    Two bounds hold for every subset ``S``.  Each witness ``m`` found so
+    far, a leaf point of the parameter box, gives ``env[S] <= Bel_m(S)``;
+    and ``Bel`` is monotone, so ``env[S]`` is at least ``env[S - {x}]`` for
+    each ``x`` in ``S``.  The subsets are walked in layers of increasing
+    size.  A subset whose two bounds meet within ``ZERO_TOL`` takes its
+    witness value with no LP; any other gets one search of the box
+    (:func:`_search`) for the largest ``-Bel(S)``, whose leaf point joins
+    the witnesses.  The lower bounds are built only from certified
+    values, an LP optimum or the lower bound a subset took, so rounding
+    does not pile up across layers.  The searches share the cells'
+    programs, and the first witness is the leaf of the feasibility
+    search, which on a parameter-free system is the point of phase 1."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
-        raise FrameTooLarge(f"lower envelope needs 2^{n} solves; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
+        raise FrameTooLarge(f"lower envelope covers 2^{n} subsets; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
+    box = _Box(system)
+    leaf = _search(box)
+    if leaf is None:
+        raise InfeasibleSystem("the constraint system is infeasible")
     full = system.frame.full_bits
+    upper = zeta_transform(leaf[1][:system.mass_dim], n)
     env = np.ones(full + 1)
     env[0] = 0.0
-    box = _Box(system)
-    for s in range(1, full):
-        found = _search(box, -_objective(system, system.bel_vector(s)))
-        if found is None:
-            raise InfeasibleSystem("the constraint system is infeasible")
-        env[s] = -found[0]
+    certified = np.zeros(full + 1)  # 0 until a subset is reached, so a max over it is harmless
+    subsets = np.arange(full + 1)
+    sizes = sum((subsets >> x) & 1 for x in range(n))
+    for size in range(1, n):
+        layer = subsets[sizes == size]
+        # S - {x}, or S itself when x is not in S
+        lower = np.max([certified[layer & ~(1 << x)] for x in range(n)], axis=0)
+        for s, low in zip(layer.tolist(), lower.tolist()):
+            if upper[s] - low <= ZERO_TOL:
+                env[s], certified[s] = upper[s], low
+                continue
+            value, point, _, _ = _search(box, -_objective(system, system.bel_vector(s)))
+            env[s] = certified[s] = -value
+            upper = np.minimum(upper, zeta_transform(point[:system.mass_dim], n))
     return np.clip(env, 0.0, 1.0)
 
 

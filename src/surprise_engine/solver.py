@@ -16,7 +16,7 @@ The first solve of a program runs phase 1 and keeps its outcome on the
 program, and every solve then runs phase 2 from a copy of that feasible
 tableau.  The LPs over one polytope, which differ only in the objective
 (the steps of Dinkelbach's method, the bound tightening and the lower
-envelope's objectives), pay for phase 1 once that way.
+envelope's searched subsets), pay for phase 1 once that way.
 """
 
 from __future__ import annotations

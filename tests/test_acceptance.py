@@ -430,6 +430,48 @@ def _conjunctive_oracle(m):
     return True
 
 
+def _conjunctive_by_pairs(m):
+    """The pairwise loop that ``is_conjunctive`` used before it was
+    vectorised: the believed sets of each conditioning, and the
+    intersection of every pair of them."""
+    full = m.frame.full_bits
+    for b_bits in range(1, full + 1):
+        try:
+            focals = list(m.condition(m.frame.subset(b_bits)).focal_bits())
+        except ConditioningUndefined:
+            continue
+        believed = {a for a in range(full + 1)
+                    if any(f & ~a == 0 for f in focals)
+                    and not any(f & a == 0 for f in focals)}
+        if any(x & y not in believed for x in believed for y in believed):
+            return False
+    return True
+
+
+def test_is_conjunctive_matches_the_oracles_up_to_the_cap():
+    """Random mass functions on frames of up to 8 points, the classifier's
+    cap: the triple enumeration is too slow past 5 points, so the
+    pairwise loop, checked against it below that, stands in there."""
+    rng = random.Random(9)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        frame = random_frame(rng, max_points=8)
+        if rng.random() < 0.2:  # a nested chain, which is conjunctive
+            chain = [frame.full_bits]
+            while rng.random() < 0.6 and chain[-1].bit_count() > 1:
+                chain.append(chain[-1] & ~(1 << rng.choice(
+                    [i for i in range(frame.theta_size) if chain[-1] >> i & 1])))
+            m = MassFunction(frame, {c: 1.0 / len(chain) for c in chain})
+        else:
+            m = random_mass(frame, rng, max_focals=rng.randint(2, 5))
+        expected = _conjunctive_by_pairs(m)
+        if frame.theta_size <= 5:
+            assert _conjunctive_oracle(m) is expected
+        assert m.is_conjunctive() is expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 15
+
+
 def test_criterion_9_classifier_ground_truth():
     frame = ProductFrame([("V", ("a", "b", "c"))])
     overlap = MassFunction(frame, {0b011: 0.5, 0b110: 0.5})

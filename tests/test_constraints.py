@@ -594,6 +594,39 @@ class TestMincommit:
         assert env[2] == pytest.approx(0.0, abs=1e-9)
         assert env[frame.full_bits] == pytest.approx(1.0)
 
+    def test_envelope_matches_a_highs_lp_per_subset(self):
+        """On random parameter-free systems whose rows, strict ones and
+        guards included, hold strictly at an anchor mass function, the
+        envelope at each subset S is the least Bel(S) over the closure,
+        one LP per subset solved by an independent solver, and it is
+        monotone over the subset lattice."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(3)
+        for _ in range(40):
+            frame = random_frame(rng, max_points=6)
+            anchor = random_mass(frame, rng)
+            cons = []
+            for _ in range(rng.randint(1, 5)):
+                s = random_subset(frame, rng)
+                g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.4 else None
+                try:
+                    value = (anchor if g is None else anchor.condition(g)).belief(s)
+                except EngineError:
+                    continue
+                op = rng.choice(["=", "<=", ">=", "<", ">"])
+                value += {"<": 0.05, ">": -0.05}.get(op, 0.0)
+                given = "" if g is None else f" | {subset_formula(frame, g)}"
+                cons.append(parse_constraint(
+                    f"Bel({subset_formula(frame, s)}{given}) {op} {value!r}", frame))
+            system = compile_constraints(cons, frame)
+            full = frame.full_bits
+            env = lower_envelope(system)
+            theirs = [_charnes_cooper(linprog, system, s, None, False) for s in range(1, full)]
+            assert env[1:full] == pytest.approx(theirs, abs=1e-8)
+            for s in range(1, full + 1):
+                for x in range(frame.theta_size):
+                    assert env[s & ~(1 << x)] <= env[s] + 1e-8
+
 
 def _random_feasible_witness(system, rng):
     objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])

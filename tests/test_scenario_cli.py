@@ -257,12 +257,22 @@ def test_bunker_bounds_lp_budget(capsys, monkeypatch):
     assert len(solves) <= 40
 
 
-@pytest.mark.parametrize("command, budget", [("check", 25), ("mincommit", 280)])
+@pytest.mark.parametrize("command, budget", [("check", 25), ("mincommit", 40)])
 def test_bunker_lp_budget(command, budget, monkeypatch):
     # tightening the root box pins both parameters, so no cell is split
     solves = _counting_solves(monkeypatch)
     assert main([command, str(bundled_scenario("bunker.bel"))]) == EXIT_OK
     assert len(solves) <= budget
+
+
+def test_window_envelope_answers_most_subsets_without_an_lp(monkeypatch):
+    # the witnesses and the subsets' values settle 10 of the 14 proper
+    # subsets, so fewer LPs run than one per subset
+    system = load_scenario(bundled_scenario("window.bel")).system()
+    solves = _counting_solves(monkeypatch)
+    env = constraints.lower_envelope(system)
+    assert len(solves) < 2 ** 4 - 1
+    assert env.tolist() == pytest.approx([0.0] * 7 + [0.6] + [0.0] * 7 + [1.0], abs=1e-9)
 
 
 TAUTOLOGY_BELOW_ONE = ("[variables]\nV0: v0, v1, v2\n\n[constraints]\n"
