@@ -93,11 +93,9 @@ def bundled_scenario(name: str) -> Path:
 
 
 def run_check(scenario: Scenario) -> tuple[list[QueryResult], int]:
-    system = scenario.system()
-    result = cons.feasible(system)
-    if result.feasible:
+    core = cons.conflict_core(scenario.system())  # [] iff feasible
+    if not core:
         return [QueryResult("check", "status", {"status": "feasible"})], EXIT_OK
-    core = cons.conflict_core(system)
     conflict = [scenario.constraints[i].render(scenario.frame) for i in core]
     out = [QueryResult("check", "status", {"status": "infeasible"}),
            QueryResult("check", "diagnostic",
@@ -214,6 +212,7 @@ class Repl:
         self.query_terms: dict[str, cons.BelTerm] = {}
         self.history: list[str] = []
         self.feasible = None
+        self.system: cons.CompiledSystem | None = None  # the constraints as last checked
 
     def say(self, line: str) -> None:
         print(line, file=self.stdout)
@@ -263,14 +262,19 @@ class Repl:
             self.say(f"ERROR unknown command {cmd!r}; try 'help'")
         return False
 
-    def _check(self, report: bool = False) -> cons.CompiledSystem:
-        """Compile the constraints and check them; returns the compiled
-        system."""
-        system = self.scenario.system()
-        self.feasible = cons.feasible(system).feasible
+    def _check(self, report: bool = False, system: cons.CompiledSystem | None = None) -> None:
+        """Check the constraints, compiled unless ``system`` is given, and
+        keep the compiled system for the commands that follow."""
+        self.system = None  # until the constraints compile
+        self.system = self.scenario.system() if system is None else system
+        self.feasible = cons.feasible(self.system).feasible
         if report or not self.feasible:
             self.say(f"CHECK {'feasible' if self.feasible else 'infeasible'}")
-        return system
+
+    def _system(self) -> cons.CompiledSystem:
+        """The compiled constraints: the kept system, or a compile when the
+        last one failed."""
+        return self.scenario.system() if self.system is None else self.system
 
     def do_assume(self, text: str) -> None:
         if not text:
@@ -278,14 +282,14 @@ class Repl:
             return
         con = cons.parse_constraint(text, self.scenario.frame, self.scenario.config.constants)
         self.scenario.constraints.append(con)
-        system = self._check()
+        self._check()
         if not self.feasible:
-            self.do_why(system)
+            self.do_why()
             return
         self.say(f"ASSUMED {len(self.scenario.constraints)}: {con.render(self.scenario.frame)}")
         for qtext, old in list(self.bounds_cache.items()):
             try:
-                res = cons.bounds(system, self.query_terms[qtext])
+                res = cons.bounds(self.system, self.query_terms[qtext])
             except QueryUndefinedEverywhere:
                 self.say(f"UNDEFINED {qtext}")
                 continue
@@ -304,9 +308,12 @@ class Repl:
         if not 1 <= n <= len(self.scenario.constraints):
             self.say(f"ERROR no constraint numbered {n}")
             return
+        kept = self.system
         con = self.scenario.constraints.pop(n - 1)
         self.say(f"RETRACTED {n}: {con.render(self.scenario.frame)}")
-        self._check(report=True)
+        if kept is not None:
+            kept = cons.subsystem(kept, [i for i in range(len(kept.constraints)) if i != n - 1])
+        self._check(report=True, system=kept)
 
     def do_bounds(self, text: str) -> None:
         if not self.feasible:
@@ -315,7 +322,7 @@ class Repl:
         term = parse_query_term(text, self.scenario.frame)
         key = text.strip()
         try:
-            res = cons.bounds(self.scenario.system(), term)
+            res = cons.bounds(self._system(), term)
         except QueryUndefinedEverywhere as exc:
             self.say(f"UNDEFINED {exc}")
             return
@@ -324,16 +331,12 @@ class Repl:
         for line in _interval_result(key, res).text_lines():
             self.say(line)
 
-    def do_why(self, infeasible: cons.CompiledSystem | None = None) -> None:
-        """Print an irreducible conflict.  ``infeasible`` is the compiled
-        scenario when it is already known to be infeasible."""
-        system = infeasible
-        if system is None:
-            system = self.scenario.system()
-            if cons.feasible(system).feasible:
-                self.say("CHECK feasible (nothing to explain)")
-                return
-        core = cons.conflict_core(system)
+    def do_why(self) -> None:
+        """Print an irreducible conflict of the constraints."""
+        core = cons.conflict_core(self._system())
+        if not core:
+            self.say("CHECK feasible (nothing to explain)")
+            return
         self.say("DIAGNOSTIC irreducible conflicting constraints")
         for i in core:
             self.say(f"CONFLICT {i + 1}: {self.scenario.constraints[i].render(self.scenario.frame)}")

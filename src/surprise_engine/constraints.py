@@ -30,13 +30,20 @@ linear functions of the mass vector, optimized over a cell by
 Dinkelbach's method.  The lower envelope walks the subsets by size and
 runs a best-first search only for a subset whose value the witnesses
 found so far and its own subsets' values leave open.
+
+An infeasible system is explained by an irreducible conflicting subset
+of its constraints, found by a deletion filter.  Each deletion test cuts
+its subsystem out of the compiled rows instead of compiling it again.
+On a parameter-free system, the Farkas certificate that phase 1 leaves
+on an infeasible program names a conflicting subset, which seeds the
+filter and shrinks the core after every test that stays infeasible.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
 from math import fsum
@@ -315,6 +322,9 @@ class CompiledSystem:
     static_rows: list[StaticRow]
     param_rows: list[ParamRow]
     num_params: int
+    # per constraint, the guard bits ``not g`` of each evidence ``g`` it
+    # conditions on, in term order
+    conditions: tuple[tuple[int, ...], ...] = ()
     _vec_cache: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -351,7 +361,7 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
             f"frame has {frame.theta_size} points; compile cap is {max_theta} "
             f"(mass vector would have {1 << frame.theta_size} coordinates)")
     system = CompiledSystem(frame, tuple(constraints), [], [], 0)
-    guard_bits: dict[int, int | str] = {}
+    conditions = []
     num_params = 0
     for idx, con in enumerate(constraints):
         const = con.const
@@ -359,9 +369,8 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
         relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
 
         conditionals = [(c, t) for c, t in con.terms if t.evidence is not None]
-        for _, term in conditionals:
-            g = extension_bits(frame, term.evidence)
-            guard_bits.setdefault(frame.full_bits ^ g, idx)
+        conditions.append(tuple(frame.full_bits ^ extension_bits(frame, t.evidence)
+                                for _, t in conditionals))
 
         if not conditionals:
             coeffs = np.zeros(system.mass_dim)
@@ -399,11 +408,53 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
             "nonlinearly; supported forms are a single conditional term against "
             "constants, or an equality between two belief terms")
 
-    for bits, origin in guard_bits.items():
-        system.static_rows.append(
-            StaticRow(system.bel_vector(bits), "<=", 1.0, f"guard:{origin}", strict=True))
+    system.conditions = tuple(conditions)
+    system.static_rows += _guard_rows(system)
     system.num_params = num_params
     return system
+
+
+def _guard_rows(system: CompiledSystem) -> list[StaticRow]:
+    """The guards ``Bel(not g) < 1``, one per evidence ``g`` that some
+    constraint conditions on, in order of first mention and owned by the
+    first constraint that mentions it."""
+    owners: dict[int, int] = {}
+    for idx, guards in enumerate(system.conditions):
+        for bits in guards:
+            owners.setdefault(bits, idx)
+    return [StaticRow(system.bel_vector(bits), "<=", 1.0, f"guard:{idx}", strict=True)
+            for bits, idx in owners.items()]
+
+
+def _owner(row: StaticRow | ParamRow) -> int:
+    """The index of the constraint that owns a row."""
+    return int(row.origin[len("guard:"):]) if isinstance(row.origin, str) else row.origin
+
+
+def subsystem(system: CompiledSystem, keep: Sequence[int]) -> CompiledSystem:
+    """The system of the constraints numbered ``keep``, in that order, cut
+    out of the compiled rows: what :func:`compile_constraints` gives for
+    those constraints, without compiling them.
+
+    The static and parameterized rows of the kept constraints stay, each
+    owned by its constraint's new number, and the parameters are numbered
+    again in order.  A guard stays iff a kept constraint conditions on its
+    evidence, owned by the first of them."""
+    new = {old: idx for idx, old in enumerate(keep)}
+    sub = CompiledSystem(system.frame, tuple(system.constraints[i] for i in keep), [], [], 0,
+                         tuple(system.conditions[i] for i in keep), system._vec_cache)
+    for row in sorted((r for r in system.static_rows
+                       if not isinstance(r.origin, str) and r.origin in new),
+                      key=lambda r: new[r.origin]):
+        sub.static_rows.append(replace(row, origin=new[row.origin]))
+    sub.static_rows += _guard_rows(sub)
+    params: dict[int, int] = {}
+    for pr in sorted((pr for pr in system.param_rows if pr.origin in new),
+                     key=lambda pr: new[pr.origin]):
+        param = params.setdefault(pr.param, len(params))
+        sub.param_rows.append(replace(pr, param=param, origin=new[pr.origin]))
+    sub.num_params = len(params)
+    return sub
 
 
 def _param_row(system: CompiledSystem, term: BelTerm, param: int, origin: int) -> ParamRow:
@@ -521,14 +572,19 @@ class _Box:
             if len(self.probed) >= _PROBE_CAP:
                 raise CompileError("parameter search exceeded its probe budget")
             program = _program(self.system, cells)
-            res = solve(program)
-            point = None
-            if res.status != INFEASIBLE:
-                # the point in hand shows delta > 0 when every strict row has slack there
-                point = (res.point if _slack(self.system, res.point) > ZERO_TOL
-                         else _max_delta(program))
+            point = _probe(self.system, program)
             self.probed[cells] = None if point is None else (program, point)
         return self.probed[cells]
+
+
+def _probe(system: CompiledSystem, program: LinearProgram):
+    """A point of a program of the system with ``delta > 0``, or ``None``
+    when it has none."""
+    res = solve(program)
+    if res.status == INFEASIBLE:
+        return None
+    # the point in hand shows delta > 0 when every strict row has slack there
+    return res.point if _slack(system, res.point) > ZERO_TOL else _max_delta(program)
 
 
 def _relaxed_max(program: LinearProgram, point: np.ndarray, num: np.ndarray, den):
@@ -788,19 +844,49 @@ def envelope_mass(system: CompiledSystem, env: np.ndarray) -> MassFunction | Non
 # Diagnostics
 
 def conflict_core(system: CompiledSystem) -> list[int]:
-    """Indices of an irreducible conflicting subset of the constraints,
-    found by greedy deletion.  Assumes the system is infeasible."""
-    def is_feasible(subset: list[int]) -> bool:
-        sub = compile_constraints([system.constraints[i] for i in subset], system.frame,
-                                  max_theta=system.frame.theta_size,
-                                  max_parameters=max(system.num_params, DEFAULT_MAX_PARAMETERS))
-        return _search(_Box(sub)) is not None
+    """Indices of an irreducible conflicting subset of the constraints, or
+    ``[]`` when the system is feasible.
 
-    core = list(range(len(system.constraints)))
+    A deletion filter (Chinneck & Dravnieks 1991): a constraint leaves the
+    core when the core without it stays infeasible.  Each test solves the
+    :func:`subsystem` of its constraints, so nothing is compiled.  On a
+    parameter-free system the test of an infeasible set also names a
+    conflicting subset of it for free: the owners of the rows with a
+    nonzero multiplier in phase 1's Farkas certificate.  The root's
+    certificate seeds the core, which one solve confirms (else the core
+    starts from every constraint), and each test that stays infeasible
+    shrinks the core to the subset its certificate names.  A parameterized
+    system, or one infeasible only through the strict slack ``delta``,
+    yields no certificate, and its deletion starts from every
+    constraint."""
+    everything = list(range(len(system.constraints)))
+    core = _conflict(system, everything)
+    if core is None:
+        return []
+    if core != everything:
+        confirmed = _conflict(system, core)
+        core = everything if confirmed is None else confirmed
     for idx in list(core):
-        trial = [i for i in core if i != idx]
-        if not trial:
+        if idx not in core or len(core) == 1:  # a certificate dropped it, or it is alone
             continue
-        if not is_feasible(trial):
-            core = trial
+        smaller = _conflict(system, [i for i in core if i != idx])
+        if smaller is not None:
+            core = smaller
     return core
+
+
+def _conflict(system: CompiledSystem, keep: list[int]) -> list[int] | None:
+    """``None`` when the constraints numbered ``keep`` are feasible
+    together; else those of them that the Farkas certificate of their
+    parameter-free program names, or all of them when there is no
+    certificate."""
+    sub = subsystem(system, keep)
+    if sub.num_params:
+        return None if _search(_Box(sub)) is not None else keep
+    program = _program(sub)
+    if _probe(sub, program) is not None:
+        return None
+    if program.farkas is None:  # the closure is feasible, but delta cannot be positive
+        return keep
+    named = {_owner(row) for row, y in zip(sub.static_rows, program.farkas) if abs(y) > ZERO_TOL}
+    return [keep[i] for i in sorted(named)] or keep

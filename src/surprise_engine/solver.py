@@ -17,6 +17,13 @@ program, and every solve then runs phase 2 from a copy of that feasible
 tableau.  The LPs over one polytope, which differ only in the objective
 (the steps of Dinkelbach's method, the bound tightening and the lower
 envelope's searched subsets), pay for phase 1 once that way.
+
+A program whose phase 1 ends infeasible keeps a Farkas certificate
+instead: multipliers ``y``, one per row in the caller's order and signs,
+with ``y <= 0`` on ``<=`` rows, ``y >= 0`` on ``>=`` rows, ``y.b > 0`` and,
+up to the pivot tolerance, ``y.A_j <= 0`` on every unpinned column ``j``.
+They are the final phase-1 reduced costs of the rows' slack or artificial
+columns, so no extra solve reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class LinearProgram:
     relop one of ``<=``, ``>=``, ``=``.  ``zero_vars`` are coordinate
     indices pinned to zero.  A program has no objective; each
     :func:`solve` brings its own.  The first solve keeps the outcome of
-    phase 1 on the program for every later one.
+    phase 1 on the program for every later one: the feasible tableau, or
+    the Farkas certificate of an infeasible program (see :attr:`farkas`).
     """
 
     __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "zero_vars", "_phase1")
@@ -78,6 +86,13 @@ class LinearProgram:
             raise SolverError("row coefficients must be finite")
         self.zero_vars = tuple(sorted(set(int(z) for z in zero_vars)))
         self._phase1 = None  # set by the first solve; see _phase1
+
+    @property
+    def farkas(self) -> np.ndarray | None:
+        """One multiplier per row proving the program infeasible, once a
+        solve has found it so; else ``None``.  The rows with a nonzero
+        multiplier are infeasible on their own."""
+        return self._phase1 if isinstance(self._phase1, np.ndarray) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,18 +209,31 @@ def _standard_form(lp: LinearProgram):
 def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
     """Phase 1 of a program: drive the artificial variables to zero.
     Returns the outcome the program keeps, with the pivot count: either
-    ``INFEASIBLE``, or the kept coordinates, the feasible tableau without
-    artificial columns or redundant rows, and its basis."""
+    the Farkas certificate of an infeasible program, or the kept
+    coordinates, the feasible tableau without artificial columns or
+    redundant rows, and its basis.
+
+    Each row starts with a unit column, its slack or artificial, in the
+    basis, so its standard-form multiplier is that column's cost less its
+    final reduced cost; a row ``_standard_form`` negated has its
+    multiplier negated back."""
     keep, T, basis, art_cols, width = _standard_form(lp)
     art_set = set(art_cols)
-    z = np.zeros(T.shape[1])
-    z[art_cols] = 1.0
+    unit = basis.copy()
+    cost = np.zeros(T.shape[1])
+    cost[art_cols] = 1.0
+    z = cost.copy()
     for i in range(T.shape[0]):
         if basis[i] in art_set:
             z -= T[i]
     pivots = _iterate(T, z, basis, budget)
     if -z[-1] > 1e-9:
-        return INFEASIBLE, pivots
+        y = (cost[unit] - z[unit]) * np.where(lp.consts < 0, -1.0, 1.0)
+        ops = np.array(lp.relops)
+        # optimality leaves a wrong sign of at most PIVOT_TOL: clip it
+        y[ops == "<="] = np.minimum(y[ops == "<="], 0.0)
+        y[ops == ">="] = np.maximum(y[ops == ">="], 0.0)
+        return y, pivots
 
     # Remove artificial variables: pivot basics out on the largest
     # available element (tiny pivots would blow residuals up), dropping
@@ -251,7 +279,7 @@ def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
     pivots = 0
     if lp._phase1 is None:
         lp._phase1, pivots = _phase1(lp, max_pivots)
-    if lp._phase1 is INFEASIBLE:
+    if lp.farkas is not None:
         return SolveResult(INFEASIBLE, pivots=pivots)
     keep, T, basis = lp._phase1
     if objective is None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from surprise_engine import LinearProgram, MassFunction, ProductFrame
+from surprise_engine import LinearProgram, MassFunction, ProductFrame, constraints
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -21,6 +21,20 @@ def simplex_program(num_vars: int, rows, *, zero_vars=()) -> LinearProgram:
     which the general-form kernel takes as one more row."""
     return LinearProgram(num_vars, list(rows) + [(np.ones(num_vars), "=", 1.0)],
                          zero_vars=zero_vars)
+
+
+def counting_solves(monkeypatch) -> list:
+    """The programs of every ``solve`` that ``constraints`` runs from now
+    on, in a list that the caller may clear."""
+    solves = []
+    solve = constraints.solve
+
+    def counting(lp, *args, **kwargs):
+        solves.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(constraints, "solve", counting)
+    return solves
 
 
 def random_frame(rng: random.Random, max_points: int = 8) -> ProductFrame:

@@ -33,7 +33,7 @@ from surprise_engine import (
     surprise_report,
 )
 from surprise_engine.errors import ConditioningUndefined
-from conftest import random_frame, random_mass, random_subset, subset_formula
+from conftest import counting_solves, random_frame, random_mass, random_subset, subset_formula
 
 
 @pytest.fixture
@@ -511,6 +511,35 @@ def _charnes_cooper(linprog, system, f_bits, evidence, maximize, params=()):
     return -out.fun if maximize else out.fun
 
 
+class TestSubsystem:
+    def test_rows_equal_a_compile_of_the_subset(self):
+        """On random systems with strict, conditional and parameterized
+        rows, the subsystem of a random subset, in random order, has the
+        rows that compiling that subset gives: coefficients, relation,
+        constant, strictness and owner of every row, guards in the same
+        order, and the parameters numbered the same."""
+        rng = random.Random(7)
+        for _ in range(60):
+            frame = random_frame(rng, max_points=6)
+            cons = _random_constraints(rng, frame, rng.randint(0, 6), params=rng.randint(0, 2))
+            system = compile_constraints(cons, frame)
+            keep = rng.sample(range(len(cons)), rng.randint(0, len(cons)))
+            ours = constraints.subsystem(system, keep)
+            theirs = compile_constraints([cons[i] for i in keep], frame)
+            assert ours.constraints == theirs.constraints
+            assert ours.num_params == theirs.num_params
+            assert ours.strict == theirs.strict
+            assert len(ours.static_rows) == len(theirs.static_rows)
+            for a, b in zip(ours.static_rows, theirs.static_rows):
+                assert (a.relop, a.const, a.strict, a.origin) == (b.relop, b.const, b.strict, b.origin)
+                assert np.array_equal(a.coeffs, b.coeffs)
+            assert len(ours.param_rows) == len(theirs.param_rows)
+            for a, b in zip(ours.param_rows, theirs.param_rows):
+                assert (a.l_const, a.r_const, a.param, a.origin) == (b.l_const, b.r_const, b.param, b.origin)
+                assert np.array_equal(a.l_coeffs, b.l_coeffs)
+                assert np.array_equal(a.r_coeffs, b.r_coeffs)
+
+
 class TestCompilerOracleEquivalence:
     def test_rows_agree_with_conditioning_oracle(self, rng):
         agree = violate = 0
@@ -673,3 +702,91 @@ class TestDiagnostics:
         for drop in core:
             rest = [cons[i] for i in core if i != drop]
             assert feasible(compile_constraints(rest, hire_frame)).feasible
+
+    def test_conflict_core_of_a_feasible_system_is_empty(self, hire_frame, hire_system):
+        assert conflict_core(hire_system) == []
+        assert conflict_core(compile_constraints([], hire_frame)) == []
+
+    def test_core_is_irreducible_and_costs_no_more_lps_than_recompiling(self, monkeypatch):
+        """On random infeasible systems, closure-infeasible, infeasible
+        only through strict rows, and with one parameter, the core is
+        infeasible and dropping any of its constraints leaves a feasible
+        set, each checked by a fresh compile; and finding it takes no more
+        LPs than the deletion that compiles every subset."""
+        rng = random.Random(11)
+        solves = counting_solves(monkeypatch)
+        kinds = {"closure": 0, "strict": 0, "param": 0}
+        while min(kinds.values()) < 8:
+            frame = random_frame(rng, max_points=4)
+            cons = _random_constraints(rng, frame, rng.randint(2, 6),
+                                       params=int(rng.random() < 0.3))
+            system = compile_constraints(cons, frame)
+            if feasible(system).feasible:
+                continue
+            kinds["param" if system.num_params else "closure"
+                  if solve(constraints._program(system)).status == "infeasible" else "strict"] += 1
+            solves.clear()
+            core = conflict_core(system)
+            ours = len(solves)
+            solves.clear()
+            assert _core_by_recompiling(system)
+            assert ours <= len(solves)
+            assert core and not feasible(compile_constraints([cons[i] for i in core], frame)).feasible
+            for drop in core:
+                rest = [cons[i] for i in core if i != drop]
+                assert feasible(compile_constraints(rest, frame)).feasible
+
+
+def _core_by_recompiling(system) -> list[int]:
+    """The deletion filter ``conflict_core`` ran before it read Farkas
+    certificates: every test compiles its subset afresh and searches it.
+    It checks the whole set first, as ``conflict_core`` does, so both
+    return ``[]`` on a feasible system."""
+    def is_feasible(subset):
+        sub = compile_constraints([system.constraints[i] for i in subset], system.frame)
+        return feasible(sub).feasible
+
+    core = list(range(len(system.constraints)))
+    if is_feasible(core):
+        return []
+    for idx in list(core):
+        trial = [i for i in core if i != idx]
+        if trial and not is_feasible(trial):
+            core = trial
+    return core
+
+
+def _random_constraints(rng, frame, count, params=0):
+    """Random constraints over the frame, with every relation, strict ones
+    included, and conditional terms: their values are an anchor mass
+    function's, moved off it now and then, so that a set of them is often
+    infeasible, sometimes only through a strict row.  ``params`` more are
+    equalities between a conditional term and another term."""
+    anchor = random_mass(frame, rng)
+
+    def term():
+        s = random_subset(frame, rng)
+        g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.4 else None
+        given = "" if g is None else f" | {subset_formula(frame, g)}"
+        try:
+            value = (anchor if g is None else anchor.condition(g)).belief(s)
+        except EngineError:
+            value = rng.random()
+        return f"Bel({subset_formula(frame, s)}{given})", value
+
+    out = []
+    while len(out) < count:
+        text, value = term()
+        if rng.random() < 0.3:
+            value = rng.choice((0.0, 1.0, rng.random()))
+        out.append(parse_constraint(
+            f"{text} {rng.choice(['=', '<=', '>=', '<', '>'])} {value!r}", frame))
+    while len(out) < count + params:
+        (left, _), (right, _) = term(), term()
+        g = subset_formula(frame, random_subset(frame, rng, nonempty=True))
+        try:
+            out.append(parse_constraint(f"{left[:-1]} | {g}) = {right}"
+                                        if "|" not in left else f"{left} = {right}", frame))
+        except ConstraintError:  # the two terms cancel
+            continue
+    return out

@@ -2,14 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import surprise_engine
 from surprise_engine import ScenarioError, bounds, compile_constraints, constraints, feasible
 from surprise_engine import scenario as scenario_module
 from surprise_engine.cli import EXIT_INFEASIBLE, EXIT_OK, Repl, bundled_scenario, main
 from surprise_engine.scenario import load_scenario, parse_scenario
+from conftest import counting_solves
 
 CORPUS = ["hire.bel", "nixon.bel", "temperature.bel", "window.bel", "bunker.bel", "bird.bel"]
 
@@ -184,6 +189,15 @@ class TestCli:
                      "--set", "independence=off"]) == 0
         assert "[0.6, 0.6]" in capsys.readouterr().out
 
+    def test_runs_as_a_module(self, capsys):
+        bird = str(bundled_scenario("bird.bel"))
+        env = dict(os.environ, PYTHONPATH=str(Path(surprise_engine.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "surprise_engine", "bounds", bird],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert main(["bounds", bird]) == done.returncode == EXIT_OK
+        assert done.stdout == capsys.readouterr().out != ""
+        assert done.stderr == ""
+
     def test_output_is_stable(self, capsys):
         main(["bounds", str(bundled_scenario("window.bel"))])
         first = capsys.readouterr().out
@@ -220,23 +234,11 @@ class TestOverCommittedBunker:
             assert feasible(compile_constraints(rest, sc.frame)).feasible
 
 
-def _counting_solves(monkeypatch) -> list:
-    solves = []
-    solve = constraints.solve
-
-    def counting(lp, *args, **kwargs):
-        solves.append(lp)
-        return solve(lp, *args, **kwargs)
-
-    monkeypatch.setattr(constraints, "solve", counting)
-    return solves
-
-
 def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "refuse.bel"
     path.write_text("[variables]\nX: a, b, c\n\n[constraints]\n"
                     "Bel(X=a or X=b) = 1\nBel(X=a) + Bel(X=b) = 1\n")
-    solves = _counting_solves(monkeypatch)
+    solves = counting_solves(monkeypatch)
     assert main(["mincommit", str(path)]) == EXIT_INFEASIBLE
     once = len(solves)
     solves.clear()
@@ -251,7 +253,7 @@ def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypa
 
 
 def test_bunker_bounds_lp_budget(capsys, monkeypatch):
-    solves = _counting_solves(monkeypatch)
+    solves = counting_solves(monkeypatch)
     assert main(["bounds", str(bundled_scenario("bunker.bel"))]) == EXIT_OK
     assert capsys.readouterr().out == "QUERY military_given_both = [0.88, 0.88]\n"
     assert len(solves) <= 40
@@ -260,7 +262,7 @@ def test_bunker_bounds_lp_budget(capsys, monkeypatch):
 @pytest.mark.parametrize("command, budget", [("check", 25), ("mincommit", 40)])
 def test_bunker_lp_budget(command, budget, monkeypatch):
     # tightening the root box pins both parameters, so no cell is split
-    solves = _counting_solves(monkeypatch)
+    solves = counting_solves(monkeypatch)
     assert main([command, str(bundled_scenario("bunker.bel"))]) == EXIT_OK
     assert len(solves) <= budget
 
@@ -269,7 +271,7 @@ def test_window_envelope_answers_most_subsets_without_an_lp(monkeypatch):
     # the witnesses and the subsets' values settle 10 of the 14 proper
     # subsets, so fewer LPs run than one per subset
     system = load_scenario(bundled_scenario("window.bel")).system()
-    solves = _counting_solves(monkeypatch)
+    solves = counting_solves(monkeypatch)
     env = constraints.lower_envelope(system)
     assert len(solves) < 2 ** 4 - 1
     assert env.tolist() == pytest.approx([0.0] * 7 + [0.6] + [0.0] * 7 + [1.0], abs=1e-9)
@@ -408,8 +410,9 @@ class TestRepl:
             "assume Bel(RAIN) = 0.1",
             "quit",
         ])
-        # one compile each: the start, the bounds command and the two assumes
-        assert len(compiles) == 4
+        # one compile each for the start and the two assumes; bounds and the
+        # conflict core reuse the system the last check compiled
+        assert len(compiles) == 3
         assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 1]" in out
         assert "CONFLICT 1: Bel(RAIN) >= 0.25" in out
         assert "CONFLICT 2: Bel(RAIN) = 0.1" in out

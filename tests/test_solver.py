@@ -10,6 +10,7 @@ import pytest
 from surprise_engine import (
     EngineError,
     IterationLimit,
+    LinearProgram,
     SolverError,
     compile_constraints,
     parse_constraint,
@@ -294,6 +295,41 @@ def test_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
     monkeypatch.setattr(solver, "BLAND_AFTER", 10 ** 9)
     with pytest.raises(IterationLimit):
         solver._iterate(*beale(), 1000)
+
+
+def test_infeasible_program_keeps_a_farkas_certificate():
+    """On random infeasible programs in general form, with every relation
+    and negative constants, the certificate proves infeasibility: ``y.b >
+    0``, ``y.A_j <= 1e-9`` on every column, and each multiplier has its
+    row's sign.  The rows with a nonzero multiplier are infeasible on their
+    own for HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(17)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 6)
+        rows = [(np.array([rng.choice((0.0, rng.uniform(-2, 2))) for _ in range(n)]),
+                 rng.choice(("<=", ">=", "=")), rng.uniform(-2, 2))
+                for _ in range(rng.randint(2, 8))]
+        lp = LinearProgram(n, rows)
+        if solve(lp).status != INFEASIBLE:
+            assert lp.farkas is None
+            continue
+        y = lp.farkas
+        assert y @ lp.consts > 0
+        assert (y @ lp.row_coeffs).max() <= 1e-9
+        for (_, op, _), mult in zip(rows, y):
+            assert mult <= 0 if op == "<=" else mult >= 0 if op == ">=" else True
+        named = [row for row, mult in zip(rows, y) if mult != 0]
+        a_ub = [c if op == "<=" else -c for c, op, _ in named if op != "="]
+        b_ub = [b if op == "<=" else -b for _, op, b in named if op != "="]
+        a_eq = [c for c, op, _ in named if op == "="]
+        b_eq = [b for _, op, b in named if op == "="]
+        out = linprog(np.zeros(n), A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                      A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+                      bounds=[(0, None)] * n, method="highs")
+        assert out.status == 2  # infeasible
+        checked += 1
 
 
 def _highs(linprog, num_vars, rows, objective, maximize):
