@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,8 +29,6 @@ from .scenario import Scenario, load_scenario, parse_query_term, render_scenario
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
-
-REPL_HISTORY_CAP = 10_000
 
 
 @dataclass
@@ -202,24 +200,30 @@ class Repl:
 
     Commands: ``assume <constraint>``, ``retract <n>``, ``bounds <Bel(...)>``,
     ``why-infeasible``, ``list``, ``save <path>``, ``quit``.
+
+    The state is the scenario, the ``system`` its constraints compiled to,
+    that system's conflict ``core`` (``[]`` iff it is feasible), and the
+    tracked ``queries``: each query's text maps to its term and its last
+    bounds.  The constraints are compiled at the start and by ``assume``,
+    which changes nothing when its constraint does not compile.
     """
+
+    system: cons.CompiledSystem
+    core: list[int]
 
     def __init__(self, scenario: Scenario, *, stdin=None, stdout=None):
         self.scenario = scenario
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
-        self.bounds_cache: dict[str, tuple[float, float]] = {}
-        self.query_terms: dict[str, cons.BelTerm] = {}
-        self.history: list[str] = []
-        self.feasible = None
-        self.system: cons.CompiledSystem | None = None  # the constraints as last checked
+        self.queries: dict[str, tuple[cons.BelTerm, tuple[float, float]]] = {}
 
     def say(self, line: str) -> None:
         print(line, file=self.stdout)
 
     def run(self) -> int:
         self.say("surprise-engine repl; 'help' lists commands, 'quit' leaves")
-        self._check(report=True)
+        self._check(self.scenario.system())
+        self._say_status()
         while True:
             self.stdout.write("bel> ")
             self.stdout.flush()
@@ -229,8 +233,6 @@ class Repl:
             line = line.strip()
             if not line:
                 continue
-            if len(self.history) < REPL_HISTORY_CAP:
-                self.history.append(line)
             if line in ("quit", "exit"):
                 return EXIT_OK
             try:
@@ -262,34 +264,30 @@ class Repl:
             self.say(f"ERROR unknown command {cmd!r}; try 'help'")
         return False
 
-    def _check(self, report: bool = False, system: cons.CompiledSystem | None = None) -> None:
-        """Check the constraints, compiled unless ``system`` is given, and
-        keep the compiled system for the commands that follow."""
-        self.system = None  # until the constraints compile
-        self.system = self.scenario.system() if system is None else system
-        self.feasible = cons.feasible(self.system).feasible
-        if report or not self.feasible:
-            self.say(f"CHECK {'feasible' if self.feasible else 'infeasible'}")
+    def _check(self, system: cons.CompiledSystem) -> None:
+        """Keep the system and its conflict core, or neither when the
+        search fails."""
+        self.system, self.core = system, cons.conflict_core(system)
 
-    def _system(self) -> cons.CompiledSystem:
-        """The compiled constraints: the kept system, or a compile when the
-        last one failed."""
-        return self.scenario.system() if self.system is None else self.system
+    def _say_status(self) -> None:
+        self.say(f"CHECK {'infeasible' if self.core else 'feasible'}")
 
     def do_assume(self, text: str) -> None:
         if not text:
             self.say("ERROR assume needs a constraint")
             return
         con = cons.parse_constraint(text, self.scenario.frame, self.scenario.config.constants)
+        # the scenario with the constraint added, compiled under its config
+        self._check(replace(self.scenario, constraints=[*self.scenario.constraints, con]).system())
         self.scenario.constraints.append(con)
-        self._check()
-        if not self.feasible:
+        if self.core:
+            self._say_status()
             self.do_why()
             return
         self.say(f"ASSUMED {len(self.scenario.constraints)}: {con.render(self.scenario.frame)}")
-        for qtext, old in list(self.bounds_cache.items()):
+        for qtext, (term, old) in list(self.queries.items()):
             try:
-                res = cons.bounds(self.system, self.query_terms[qtext])
+                res = cons.bounds(self.system, term)
             except QueryUndefinedEverywhere:
                 self.say(f"UNDEFINED {qtext}")
                 continue
@@ -297,7 +295,7 @@ class Repl:
             if new[0] > old[0] + 1e-9 or new[1] < old[1] - 1e-9:
                 self.say(f"NARROWED {qtext}: [{_num(old[0])}, {_num(old[1])}] -> "
                          f"[{_num(new[0])}, {_num(new[1])}]")
-            self.bounds_cache[qtext] = new
+            self.queries[qtext] = (term, new)
 
     def do_retract(self, text: str) -> None:
         try:
@@ -308,38 +306,35 @@ class Repl:
         if not 1 <= n <= len(self.scenario.constraints):
             self.say(f"ERROR no constraint numbered {n}")
             return
-        kept = self.system
+        keep = [i for i in range(len(self.scenario.constraints)) if i != n - 1]
+        self._check(cons.subsystem(self.system, keep))
         con = self.scenario.constraints.pop(n - 1)
         self.say(f"RETRACTED {n}: {con.render(self.scenario.frame)}")
-        if kept is not None:
-            kept = cons.subsystem(kept, [i for i in range(len(kept.constraints)) if i != n - 1])
-        self._check(report=True, system=kept)
+        self._say_status()
 
     def do_bounds(self, text: str) -> None:
-        if not self.feasible:
+        if self.core:
             self.say("ERROR system is infeasible; retract something first")
             return
         term = parse_query_term(text, self.scenario.frame)
         key = text.strip()
         try:
-            res = cons.bounds(self._system(), term)
+            res = cons.bounds(self.system, term)
         except QueryUndefinedEverywhere as exc:
             self.say(f"UNDEFINED {exc}")
             return
-        self.query_terms[key] = term
-        self.bounds_cache[key] = (res.lo, res.hi)
+        self.queries[key] = (term, (res.lo, res.hi))
         for line in _interval_result(key, res).text_lines():
             self.say(line)
 
     def do_why(self) -> None:
-        """Print an irreducible conflict of the constraints."""
-        core = cons.conflict_core(self._system())
-        if not core:
+        """Print the kept conflict core."""
+        if not self.core:
             self.say("CHECK feasible (nothing to explain)")
             return
         self.say("DIAGNOSTIC irreducible conflicting constraints")
-        for i in core:
-            self.say(f"CONFLICT {i + 1}: {self.scenario.constraints[i].render(self.scenario.frame)}")
+        for i in self.core:
+            self.say(f"CONFLICT {i + 1}: {self.system.constraints[i].render(self.scenario.frame)}")
 
     def do_save(self, text: str) -> None:
         if not text:
@@ -350,8 +345,7 @@ class Repl:
             constraints=list(self.scenario.constraints),
             calibration=self.scenario.calibration,
             calibration_entries=list(self.scenario.calibration_entries),
-            queries=[(f"q{i + 1}", self.query_terms[k])
-                     for i, k in enumerate(self.bounds_cache)],
+            queries=[(f"q{i + 1}", term) for i, (term, _) in enumerate(self.queries.values())],
             config=self.scenario.config,
         )
         Path(text).write_text(render_scenario(snapshot))
@@ -373,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="scenario file (.bel)")
         p.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
                        help="override a constant or config flag")
-        p.add_argument("--grid", type=int, default=None, help="ignored; kept for old command lines")
         p.add_argument("--max-theta", type=int, default=None,
                        help="cap on product-space points at compile time")
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
@@ -418,10 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_theta is not None:
         scenario.config.max_theta = args.max_theta
 
-    if args.command == "repl":
-        return Repl(scenario).run()
-
     try:
+        if args.command == "repl":
+            return Repl(scenario).run()
         if args.command == "check":
             results, code = run_check(scenario)
         elif args.command == "bounds":

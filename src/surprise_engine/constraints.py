@@ -33,10 +33,12 @@ found so far and its own subsets' values leave open.
 
 An infeasible system is explained by an irreducible conflicting subset
 of its constraints, found by a deletion filter.  Each deletion test cuts
-its subsystem out of the compiled rows instead of compiling it again.
-On a parameter-free system, the Farkas certificate that phase 1 leaves
-on an infeasible program names a conflicting subset, which seeds the
-filter and shrinks the core after every test that stays infeasible.
+its subsystem out of the compiled rows instead of compiling it again,
+and searches its parameter box.  When the root relaxation of an
+infeasible set is infeasible too, the Farkas certificate that phase 1
+leaves on it names a conflicting subset, which seeds the filter and
+shrinks the core after every test that stays infeasible; this holds
+with parameters or without.
 """
 
 from __future__ import annotations
@@ -478,7 +480,6 @@ def _param_row(system: CompiledSystem, term: BelTerm, param: int, origin: int) -
 class FeasibilityResult:
     feasible: bool
     witness: MassFunction | None = None
-    param_values: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,6 +543,9 @@ def _max_delta(program: LinearProgram):
 class _Box:
     """The parameter box of a system, with its cells' programs probed once
     for every search of one call; a parameter-free system has one cell.
+    The program of the root relaxation, the cell [0, 1]^k, is kept as
+    ``relaxation``: on an infeasible one, its Farkas certificate names a
+    conflicting subset of the constraints.
 
     The root is tightened first (optimization-based bound tightening,
     Belotti et al. 2009): wherever the root relaxation holds, a row ``L +
@@ -553,7 +557,8 @@ class _Box:
         self.system = system
         self.probed: dict[tuple, tuple | None] = {}
         root = tuple((0.0, 1.0) for _ in range(system.num_params))
-        found = self.cell(root)
+        self.relaxation = _program(system, root)
+        found = self.cell(root, self.relaxation)
         if root and found is not None:
             program, point = found
             lo, hi = [0.0] * len(root), [1.0] * len(root)
@@ -565,26 +570,21 @@ class _Box:
             root = tuple((a, b) if a <= b else (0.5 * (a + b),) * 2 for a, b in zip(lo, hi))
         self.root = root
 
-    def cell(self, cells: tuple):
+    def cell(self, cells: tuple, program: LinearProgram | None = None):
         """The program of a cell and a point of it with ``delta > 0``, or
         ``None`` when the cell is not strictly feasible."""
         if cells not in self.probed:
             if len(self.probed) >= _PROBE_CAP:
                 raise CompileError("parameter search exceeded its probe budget")
-            program = _program(self.system, cells)
-            point = _probe(self.system, program)
+            if program is None:
+                program = _program(self.system, cells)
+            res = solve(program)
+            point = None if res.status == INFEASIBLE else res.point
+            # the point in hand shows delta > 0 when every strict row has slack there
+            if point is not None and _slack(self.system, point) <= ZERO_TOL:
+                point = _max_delta(program)
             self.probed[cells] = None if point is None else (program, point)
         return self.probed[cells]
-
-
-def _probe(system: CompiledSystem, program: LinearProgram):
-    """A point of a program of the system with ``delta > 0``, or ``None``
-    when it has none."""
-    res = solve(program)
-    if res.status == INFEASIBLE:
-        return None
-    # the point in hand shows delta > 0 when every strict row has slack there
-    return res.point if _slack(system, res.point) > ZERO_TOL else _max_delta(program)
 
 
 def _relaxed_max(program: LinearProgram, point: np.ndarray, num: np.ndarray, den):
@@ -656,10 +656,8 @@ def feasible(system: CompiledSystem) -> FeasibilityResult:
     leaf = _search(_Box(system))
     if leaf is None:
         return FeasibilityResult(False)
-    _, point, _, cells = leaf
-    witness = MassFunction.from_vector(system.frame, point[:system.mass_dim])
-    params = tuple(0.5 * (lo + hi) for lo, hi in cells) if cells else None
-    return FeasibilityResult(True, witness, params)
+    _, point, _, _ = leaf
+    return FeasibilityResult(True, MassFunction.from_vector(system.frame, point[:system.mass_dim]))
 
 
 def _end_witness(system: CompiledSystem, num: np.ndarray, den: np.ndarray, end: tuple):
@@ -848,25 +846,30 @@ def conflict_core(system: CompiledSystem) -> list[int]:
     ``[]`` when the system is feasible.
 
     A deletion filter (Chinneck & Dravnieks 1991): a constraint leaves the
-    core when the core without it stays infeasible.  Each test solves the
-    :func:`subsystem` of its constraints, so nothing is compiled.  On a
-    parameter-free system the test of an infeasible set also names a
-    conflicting subset of it for free: the owners of the rows with a
-    nonzero multiplier in phase 1's Farkas certificate.  The root's
-    certificate seeds the core, which one solve confirms (else the core
-    starts from every constraint), and each test that stays infeasible
-    shrinks the core to the subset its certificate names.  A parameterized
-    system, or one infeasible only through the strict slack ``delta``,
-    yields no certificate, and its deletion starts from every
-    constraint."""
+    core when the core without it stays infeasible.  Each test searches
+    the parameter box of its :func:`subsystem`, so nothing is compiled,
+    and an infeasible test also names a conflicting subset for free: the
+    owners of the rows with a nonzero multiplier in the Farkas certificate
+    of its root relaxation.  The root's certificate seeds the core, which
+    one search confirms (else the core starts from every constraint), and
+    each test that stays infeasible shrinks the core to the subset its
+    certificate names; a seed's parameterized constraints are tested
+    first.  A set whose root relaxation is feasible, or infeasible only
+    through the strict slack ``delta``, has no certificate, and its
+    deletion starts from every constraint."""
     everything = list(range(len(system.constraints)))
     core = _conflict(system, everything)
     if core is None:
         return []
+    order = core
     if core != everything:
         confirmed = _conflict(system, core)
         core = everything if confirmed is None else confirmed
-    for idx in list(core):
+        # the seed clashes at the root: its tests that keep no parameterized
+        # constraint are single solves, so those constraints are dropped first
+        searched = {pr.origin for pr in system.param_rows}
+        order = sorted(core, key=lambda i: i not in searched)
+    for idx in order:
         if idx not in core or len(core) == 1:  # a certificate dropped it, or it is alone
             continue
         smaller = _conflict(system, [i for i in core if i != idx])
@@ -877,16 +880,19 @@ def conflict_core(system: CompiledSystem) -> list[int]:
 
 def _conflict(system: CompiledSystem, keep: list[int]) -> list[int] | None:
     """``None`` when the constraints numbered ``keep`` are feasible
-    together; else those of them that the Farkas certificate of their
-    parameter-free program names, or all of them when there is no
-    certificate."""
+    together; else those of them that the Farkas certificate of their root
+    relaxation names, or all of them when there is no certificate.  A
+    static row or guard names its owner, and both interval rows of a
+    parameterized row name its constraint; the named subset's own root
+    relaxation has those same rows, so the certificate proves it
+    infeasible too."""
     sub = subsystem(system, keep)
-    if sub.num_params:
-        return None if _search(_Box(sub)) is not None else keep
-    program = _program(sub)
-    if _probe(sub, program) is not None:
+    box = _Box(sub)
+    if _search(box) is not None:
         return None
-    if program.farkas is None:  # the closure is feasible, but delta cannot be positive
+    farkas = box.relaxation.farkas
+    if farkas is None:  # the relaxation is feasible, or infeasible only through delta
         return keep
-    named = {_owner(row) for row, y in zip(sub.static_rows, program.farkas) if abs(y) > ZERO_TOL}
+    rows = sub.static_rows + [pr for pr in sub.param_rows for _ in range(2)]  # as in _rows
+    named = {_owner(row) for row, y in zip(rows, farkas) if abs(y) > ZERO_TOL}
     return [keep[i] for i in sorted(named)] or keep

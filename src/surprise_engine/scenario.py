@@ -59,8 +59,6 @@ _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
 
 _INT_CONFIG_KEYS = {"max_theta", "max_parameters"}
-# sized a parameter grid that is gone: accepted from older files and command lines, and ignored
-_IGNORED_CONFIG_KEY = "grid"
 
 
 @dataclass
@@ -149,13 +147,11 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
                 setattr(config, key, int(value))
             except ValueError:
                 raise ScenarioError(f"config {key!r} needs an integer", lineno) from None
-        elif key != _IGNORED_CONFIG_KEY:
+        else:
             config.flags[key] = _parse_bool(value, lineno)
 
     for key, value in (overrides or {}).items():
         value = value.strip()
-        if key == _IGNORED_CONFIG_KEY:
-            continue
         if key in _INT_CONFIG_KEYS:
             setattr(config, key, int(value))
         elif value.lower() in _TRUE_WORDS or value.lower() in _FALSE_WORDS:

@@ -709,13 +709,14 @@ class TestDiagnostics:
 
     def test_core_is_irreducible_and_costs_no_more_lps_than_recompiling(self, monkeypatch):
         """On random infeasible systems, closure-infeasible, infeasible
-        only through strict rows, and with one parameter, the core is
-        infeasible and dropping any of its constraints leaves a feasible
-        set, each checked by a fresh compile; and finding it takes no more
-        LPs than the deletion that compiles every subset."""
+        only through strict rows, and with one parameter, whose root
+        relaxation is infeasible or not, the core is infeasible and
+        dropping any of its constraints leaves a feasible set, each checked
+        by a fresh compile; and finding it takes no more LPs than the
+        deletion that compiles every subset."""
         rng = random.Random(11)
         solves = counting_solves(monkeypatch)
-        kinds = {"closure": 0, "strict": 0, "param": 0}
+        kinds = {"closure": 0, "strict": 0, "param": 0, "param_closure": 0}
         while min(kinds.values()) < 8:
             frame = random_frame(rng, max_points=4)
             cons = _random_constraints(rng, frame, rng.randint(2, 6),
@@ -723,8 +724,10 @@ class TestDiagnostics:
             system = compile_constraints(cons, frame)
             if feasible(system).feasible:
                 continue
-            kinds["param" if system.num_params else "closure"
-                  if solve(constraints._program(system)).status == "infeasible" else "strict"] += 1
+            root = constraints._program(system, [(0.0, 1.0)] * system.num_params)
+            closure = solve(root).status == "infeasible"
+            kinds[("param_" * bool(system.num_params) + "closure") if closure
+                  else "param" if system.num_params else "strict"] += 1
             solves.clear()
             core = conflict_core(system)
             ours = len(solves)

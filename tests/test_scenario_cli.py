@@ -12,7 +12,7 @@ import pytest
 import surprise_engine
 from surprise_engine import ScenarioError, bounds, compile_constraints, constraints, feasible
 from surprise_engine import scenario as scenario_module
-from surprise_engine.cli import EXIT_INFEASIBLE, EXIT_OK, Repl, bundled_scenario, main
+from surprise_engine.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, Repl, bundled_scenario, main
 from surprise_engine.scenario import load_scenario, parse_scenario
 from conftest import counting_solves
 
@@ -60,17 +60,16 @@ a: Bel(A)
             parse_scenario("[variables]\nA: Yes, No\n\n[constraints]\nBel(B) = 1\n")
         assert err.value.line == 5
 
-    def test_grid_key_is_accepted_and_ignored(self, tmp_path, capsys):
-        # older files, --set and --grid may still carry the resolution of
-        # the parameter grid that the search no longer has
-        text = "[config]\ngrid = 64\n\n[variables]\nA: Yes, No\n\n[constraints]\nBel(A) = 0.25\n"
+    def test_grid_key_is_a_non_boolean_flag(self, tmp_path, capsys):
+        # `grid` sized a parameter grid that the search no longer has; it is
+        # now an ordinary config flag, and 64 is not on/off
         path = tmp_path / "grid.bel"
-        path.write_text(text)
-        sc = load_scenario(path, {"grid": "64"})
-        assert "grid" not in sc.config.constants and "grid" not in sc.config.flags
-        assert "grid" not in scenario_module.render_scenario(sc)
-        assert main(["bounds", str(path), "Bel(A)", "--grid", "64", "--set", "grid=64"]) == EXIT_OK
-        assert capsys.readouterr().out == "QUERY Bel(A) = [0.25, 0.25]\n"
+        path.write_text("[config]\ngrid = 64\n\n[variables]\nA: Yes, No\n")
+        assert main(["bounds", str(path), "Bel(A)"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: expected on/off, got '64'\n"
+        with pytest.raises(SystemExit) as done:
+            main(["bounds", str(path), "Bel(A)", "--grid", "64"])
+        assert done.value.code == EXIT_USAGE
 
     def test_undeclared_when_flag(self):
         with pytest.raises(ScenarioError, match="undeclared flag"):
@@ -198,6 +197,16 @@ class TestCli:
         assert done.stdout == capsys.readouterr().out != ""
         assert done.stderr == ""
 
+    def test_repl_that_does_not_compile_exits_2(self, tmp_path):
+        path = tmp_path / "three.bel"
+        path.write_text(RAIN_SCENARIO + "\n[constraints]\n" + "\n".join(THREE_EQUALITIES) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(surprise_engine.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "surprise_engine", "repl", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              stdin=subprocess.DEVNULL)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "error: constraint set needs more than 2 parameters\n"
+
     def test_output_is_stable(self, capsys):
         main(["bounds", str(bundled_scenario("window.bel"))])
         first = capsys.readouterr().out
@@ -232,6 +241,22 @@ class TestOverCommittedBunker:
         for dropped in core:
             rest = [by_text[t] for t in core if t != dropped]
             assert feasible(compile_constraints(rest, sc.frame)).feasible
+
+
+def test_bunker_conflict_comes_from_the_root_certificate(monkeypatch):
+    # the static rows Bel(not M) = 0 and Bel(not M) >= 0.5 clash at the
+    # root relaxation, whose certificate seeds the core
+    sc = load_scenario(bundled_scenario("bunker.bel"))
+    lps, out = _lps_per_command(monkeypatch, sc, ["assume Bel(not M) >= 0.5"])
+    assert lps[1] <= 10
+    core = [line.split(": ", 1)[1] for line in _replies(out)[1].splitlines()
+            if line.startswith("CONFLICT")]
+    assert core == ["Bel(not M) = 0", "Bel(not M) >= 0.5"]
+    by_text = {con.render(sc.frame): con for con in sc.constraints}
+    assert not feasible(compile_constraints([by_text[t] for t in core], sc.frame)).feasible
+    for dropped in core:
+        rest = [by_text[t] for t in core if t != dropped]
+        assert feasible(compile_constraints(rest, sc.frame)).feasible
 
 
 def test_refused_mincommit_computes_the_envelope_once(capsys, tmp_path, monkeypatch):
@@ -354,6 +379,40 @@ RAIN: Yes, No
 WET: Yes, No
 """
 
+# each equality takes a parameter, and two are allowed
+THREE_EQUALITIES = ["Bel(RAIN | WET) = Bel(WET)", "Bel(WET | RAIN) = Bel(RAIN)",
+                    "Bel(not WET | RAIN) = Bel(not RAIN)"]
+
+
+def _replies(out: str) -> list[str]:
+    """The REPL's output split at its prompts: what the start printed,
+    then what each command printed."""
+    return out.split("bel> ")
+
+
+class _CountingStdin:
+    """Feeds commands to the REPL and notes, at each read, how many LPs
+    ``constraints`` has solved so far."""
+
+    def __init__(self, commands, solves):
+        self._lines = iter(commands)
+        self._solves = solves
+        self.marks = []
+
+    def readline(self):
+        self.marks.append(len(self._solves))
+        return next(self._lines, "quit") + "\n"
+
+
+def _lps_per_command(monkeypatch, scenario, commands):
+    """The LPs of the start and of each command of a REPL session, in the
+    order of :func:`_replies`, and its output."""
+    solves = counting_solves(monkeypatch)
+    stdin, out = _CountingStdin(commands, solves), io.StringIO()
+    Repl(scenario, stdin=stdin, stdout=out).run()
+    marks = [0] + stdin.marks
+    return [b - a for a, b in zip(marks, marks[1:])], out.getvalue()
+
 
 class TestRepl:
     def test_assume_feasible_pair(self):
@@ -423,9 +482,34 @@ class TestRepl:
             "list",
             "quit",
         ])
-        assert "ERROR" in out
-        assert "1:" not in out.split("list")[-1] if "list" in out else True
+        replies = _replies(out)
+        assert replies[1].startswith("ERROR")
+        assert replies[2] == ""
         assert code == 0
+
+    def test_assume_that_does_not_compile_changes_nothing(self):
+        code, out = _run_repl(RAIN_SCENARIO, [f"assume {c}" for c in THREE_EQUALITIES] + [
+            "list",
+            "bounds Bel(RAIN)",
+            "quit",
+        ])
+        replies = _replies(out)
+        assert replies[3] == "ERROR constraint set needs more than 2 parameters\n"
+        assert replies[4] == f"1: {THREE_EQUALITIES[0]}\n2: {THREE_EQUALITIES[1]}\n"
+        assert replies[5] == "QUERY Bel(RAIN) = [0, 1]\n"
+        assert code == 0
+
+    def test_conflict_is_found_once_and_kept(self, monkeypatch):
+        commands = ["assume Bel(RAIN) >= 0.25", "assume Bel(RAIN) = 0.1", "why-infeasible"]
+        lps, out = _lps_per_command(monkeypatch, parse_scenario(RAIN_SCENARIO), commands)
+        # the infeasible assume costs what its conflict core costs alone,
+        # and why-infeasible prints that core again without an LP
+        solves = counting_solves(monkeypatch)
+        both = parse_scenario(RAIN_SCENARIO + "[constraints]\nBel(RAIN) >= 0.25\nBel(RAIN) = 0.1\n")
+        assert constraints.conflict_core(both.system()) == [0, 1]
+        assert lps[2] == len(solves) and lps[3] == 0
+        conflict = "CONFLICT 1: Bel(RAIN) >= 0.25\nCONFLICT 2: Bel(RAIN) = 0.1\n"
+        assert _replies(out)[2].endswith(conflict) and _replies(out)[3].endswith(conflict)
 
     def test_batch_repl_equivalence(self, tmp_path):
         save_path = tmp_path / "session.bel"
