@@ -18,12 +18,14 @@ from . import constraints as cons
 from .belief import MassFunction
 from .errors import (
     CompileError,
+    ConstraintError,
     EngineError,
+    FormulaError,
     InfeasibleSystem,
     QueryUndefinedEverywhere,
     ScenarioError,
 )
-from .frames import parse_formula, pretty
+from .frames import extension, parse_formula, pretty
 from .scenario import Scenario, load_scenario, parse_query_term, render_scenario
 
 EXIT_OK = 0
@@ -141,7 +143,6 @@ def run_condition(scenario: Scenario, formula_text: str) -> tuple[list[QueryResu
                             {"message": "scenario has no minimum-committed belief function "
                                         "to condition"})], EXIT_INFEASIBLE
     evidence = parse_formula(formula_text, scenario.frame)
-    from .frames import extension
     conditioned = mass.condition(extension(scenario.frame, evidence))
     return [_mass_result(f"condition {pretty(evidence, scenario.frame)}", conditioned)], EXIT_OK
 
@@ -427,8 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "classify":
             results, code = run_classify(scenario)
         elif args.command == "calibrate":
-            if (args.x is None) != (args.y is None):
-                print("error: calibrate needs both x and y, or neither", file=sys.stderr)
+            if (args.x is None) != (args.y is None) or args.x is not None and min(args.x, args.y) <= 0:
+                print("error: calibrate needs two positive integers x and y, or neither",
+                      file=sys.stderr)
                 return EXIT_USAGE
             results, code = run_calibrate(scenario, args.x, args.y)
         else:  # pragma: no cover
@@ -436,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except CompileError as exc:
+    except (CompileError, ConstraintError, FormulaError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineError as exc:

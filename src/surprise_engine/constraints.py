@@ -44,7 +44,6 @@ with parameters or without.
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
@@ -58,12 +57,22 @@ from .errors import (
     CompileError,
     ConditioningUndefined,
     ConstraintError,
+    FormulaError,
     FrameTooLarge,
     InfeasibleSystem,
     InvalidMassFunction,
     QueryUndefinedEverywhere,
 )
-from .frames import Formula, Not, ProductFrame, extension_bits, parse_formula, pretty
+from .frames import (
+    Formula,
+    Not,
+    ProductFrame,
+    Token,
+    extension_bits,
+    formula_at,
+    pretty,
+    tokenize,
+)
 from .solver import INFEASIBLE, LinearProgram, solve
 
 # LP optima at or below this count as zero: the largest slack delta, the
@@ -89,6 +98,9 @@ class BelTerm:
         return f"Bel({pretty(self.target, frame)} | {pretty(self.evidence, frame)})"
 
 
+_RELOPS = frozenset(("=", "<=", ">=", "<", ">"))
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Normalized relation ``sum(coef * term) relop const``."""
@@ -101,7 +113,7 @@ class Constraint:
     def __post_init__(self):
         if not self.terms:
             raise ConstraintError("a constraint needs at least one belief term")
-        if self.relop not in ("=", "<=", ">=", "<", ">"):
+        if self.relop not in _RELOPS:
             raise ConstraintError(f"unknown relational operator {self.relop!r}")
 
     def render(self, frame: ProductFrame | None = None) -> str:
@@ -115,87 +127,32 @@ class Constraint:
 
 
 # ---------------------------------------------------------------------------
-# Constraint surface syntax
+# Constraint surface syntax (the grammar is in ``frames``)
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RELOP_RE = re.compile(r"<=|>=|=|<|>")
-
-
-def _tokenize_constraint(text: str, frame: ProductFrame) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _RELOP_RE.match(text, pos)
-        if m and not (m.group() == "=" and text.startswith("=>", pos)):
-            tokens.append(("relop", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(("number", float(m.group()), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            name = m.group()
-            if name == "Bel":
-                term, pos = _scan_bel(text, m.end(), frame)
-                tokens.append(("bel", term, m.start()))
-                continue
-            tokens.append(("ident", name, pos))
-            pos = m.end()
-            continue
-        raise ConstraintError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", None, n))
-    return tokens
+def _expected(what: str, token: Token) -> ConstraintError:
+    kind, value, pos = token
+    if kind == "bad":
+        return ConstraintError(f"unexpected character {value!r}", pos)
+    return ConstraintError(f"expected {what}, found {value!r}" if value else f"expected {what}", pos)
 
 
-def _scan_bel(text: str, pos: int, frame: ProductFrame) -> tuple[BelTerm, int]:
-    """Scan ``( formula [| formula] )`` starting at ``pos``."""
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text) or text[pos] != "(":
-        raise ConstraintError("expected '(' after Bel", pos)
-    depth = 0
-    bar = None
-    start = pos + 1
-    i = pos
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        elif ch == "|" and depth == 1:
-            if bar is not None:
-                raise ConstraintError("more than one '|' inside Bel(...)", i)
-            bar = i
-        i += 1
-    else:
-        raise ConstraintError("unbalanced parentheses in Bel(...)", pos)
-    if bar is None:
-        target_text, evidence_text = text[start:i], None
-    else:
-        target_text, evidence_text = text[start:bar], text[bar + 1:i]
+def bel_term_at(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[BelTerm, int]:
+    """The belief term ``Bel(target [| evidence])`` whose name ``Bel`` is
+    token ``i``, and the index of the token after it.  Every error is a
+    :class:`ConstraintError` at its position in the tokenized text."""
+    if tokens[i + 1][0] != "(":
+        raise _expected("'(' after Bel", tokens[i + 1])
     try:
-        target = parse_formula(target_text, frame)
-        evidence = None if evidence_text is None else parse_formula(evidence_text, frame)
-    except ConstraintError:
-        raise
-    except Exception as exc:  # formula errors keep their own position info
-        raise ConstraintError(f"inside Bel(...): {exc}", start) from exc
+        target, i = formula_at(tokens, i + 2, frame)
+        evidence = None
+        if tokens[i][0] == "|":
+            evidence, i = formula_at(tokens, i + 1, frame)
+    except FormulaError as exc:
+        raise ConstraintError(f"inside Bel(...): {exc}", exc.position) from exc
+    if tokens[i][0] == "|":
+        raise ConstraintError("more than one '|' inside Bel(...)", tokens[i][2])
+    if tokens[i][0] != ")":
+        raise _expected("')' to close Bel(...)", tokens[i])
     return BelTerm(target, evidence), i + 1
 
 
@@ -207,82 +164,54 @@ def parse_constraint(text: str, frame: ProductFrame,
     ``constants``; an unresolved name is an error.
     """
     constants = constants or {}
-    tokens = _tokenize_constraint(text, frame)
-    relops = [t for t in tokens if t[0] == "relop"]
-    if len(relops) != 1:
-        raise ConstraintError(
-            f"a constraint needs exactly one relational operator, found {len(relops)}")
-    split = tokens.index(relops[0])
-    lhs = tokens[:split] + [("end", None, relops[0][2])]
-    rhs = tokens[split + 1:]
-    lterms, lconst = _parse_side(lhs, constants)
-    rterms, rconst = _parse_side(rhs, constants)
-
+    tokens = tokenize(text)
     merged: dict[BelTerm, float] = {}
-    for coef, term in lterms:
-        merged[term] = merged.get(term, 0.0) + coef
-    for coef, term in rterms:
-        merged[term] = merged.get(term, 0.0) - coef
-    terms = tuple((coef, term) for term, coef in merged.items() if coef != 0.0)
-    if not terms:
-        raise ConstraintError("constraint has no belief term")
-    return Constraint(terms, relops[0][1], rconst - lconst, text=text.strip())
-
-
-def _parse_side(tokens: list, constants: dict[str, float]) -> tuple[list, float]:
-    terms: list[tuple[float, BelTerm]] = []
-    const = 0.0
+    consts = {1.0: 0.0, -1.0: 0.0}
+    relop = None
     i = 0
-    sign = 1.0
-    expect_item = True
-    while tokens[i][0] != "end":
-        kind, value, pos = tokens[i]
-        if expect_item:
-            if kind == "-":
-                sign = -sign
+    for side in (1.0, -1.0):  # the left side's terms add, the right side's subtract
+        while True:
+            sign = 1.0
+            while tokens[i][0] in ("+", "-"):
+                if tokens[i][0] == "-":
+                    sign = -sign
                 i += 1
-                continue
-            if kind == "+":
-                i += 1
-                continue
+            kind, value, pos = tokens[i]
             coef = None
             if kind == "number":
-                coef = value
+                coef = float(value)
                 i += 1
-            elif kind == "ident":
+            elif kind == "name" and value != "Bel":
                 if value not in constants:
                     raise ConstraintError(f"constant {value!r} has no value", pos)
                 coef = constants[value]
                 i += 1
-            if tokens[i][0] == "*":
-                if coef is None:
-                    raise ConstraintError("'*' needs a numeric coefficient before it", tokens[i][2])
+            if coef is not None and tokens[i][0] == "*":
                 i += 1
-                if tokens[i][0] != "bel":
-                    raise ConstraintError("'*' must be followed by Bel(...)", tokens[i][2])
-            if tokens[i][0] == "bel":
-                terms.append((sign * (1.0 if coef is None else coef), tokens[i][1]))
-                i += 1
+                if tokens[i][:2] != ("name", "Bel"):
+                    raise _expected("Bel(...) after '*'", tokens[i])
+            if tokens[i][:2] == ("name", "Bel"):
+                term, i = bel_term_at(tokens, i, frame)
+                merged[term] = merged.get(term, 0.0) + side * sign * (1.0 if coef is None else coef)
             elif coef is not None:
-                const += sign * coef
+                consts[side] += sign * coef
             else:
-                raise ConstraintError(f"expected a term, found {tokens[i][1]!r}", tokens[i][2])
-            sign = 1.0
-            expect_item = False
-        else:
-            if kind == "+":
-                sign = 1.0
-            elif kind == "-":
-                sign = -1.0
-            else:
-                raise ConstraintError(f"expected '+' or '-', found {value!r}", pos)
-            i += 1
-            expect_item = True
-    if expect_item and (terms or const):
-        raise ConstraintError("dangling operator at end of expression", tokens[i][2])
-    if expect_item and not terms and const == 0.0:
-        raise ConstraintError("empty side of constraint", tokens[i][2])
-    return terms, const
+                raise _expected("a term", tokens[i])
+            if tokens[i][0] not in ("+", "-"):
+                break
+        kind, value, pos = tokens[i]
+        if kind in _RELOPS and relop is None:
+            relop, i = value, i + 1
+        elif kind in _RELOPS or kind == "end" and relop is None:
+            raise ConstraintError("a constraint needs exactly one relational operator, found "
+                                  + (f"a second {value!r}" if relop else "none"), pos)
+        elif kind != "end":
+            raise _expected("'+' or '-'" if relop else "'+', '-' or a relational operator",
+                            tokens[i])
+    terms = tuple((coef, term) for term, coef in merged.items() if coef != 0.0)
+    if not terms:
+        raise ConstraintError("constraint has no belief term")
+    return Constraint(terms, relop, consts[-1.0] - consts[1.0], text=text.strip())
 
 
 # ---------------------------------------------------------------------------

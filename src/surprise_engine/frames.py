@@ -324,128 +324,109 @@ def extension_bits(frame: ProductFrame, formula: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 #
-#   formula  := or_expr ('=>' formula)?          implies, right-associative
-#   or_expr  := and_expr (('or' | '\/') and_expr)*
-#   and_expr := unary (('and' | '/\') unary)*
-#   unary    := ('not' | '~') unary | primary
-#   primary  := '(' formula ')' | IDENT ('=' IDENT)?
+# One tokenizer reads the whole constraint language; a formula uses part
+# of its tokens.  ``constraints`` reads belief terms and constraints from
+# the same token list.
 #
-# A bare identifier over a boolean frame {Yes, No} is shorthand for
-# ``IDENT = Yes``.
+#   constraint := side relop side              relop: = <= >= < >
+#   side       := sign* item (sign+ item)*     sign: + -, the item's sign is their product
+#   item       := coef | coef? '*'? bel        '*' only after a coef
+#   coef       := NUMBER | NAME                NAME: a symbolic constant
+#   bel        := 'Bel' '(' formula ('|' formula)? ')'
+#   formula    := or_expr ('=>' formula)?      implies, right-associative
+#   or_expr    := and_expr (('or' | '\/') and_expr)*
+#   and_expr   := unary (('and' | '/\') unary)*
+#   unary      := ('not' | '~') unary | primary
+#   primary    := '(' formula ')' | NAME ('=' NAME)?
+#
+# A bare name over a boolean frame {Yes, No} is shorthand for
+# ``NAME = Yes``.  A coefficient may precede ``Bel(...)`` without ``*``.
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<implies>=>)
-      | (?P<eq>=)
-      | (?P<and_op>/\\)
-      | (?P<or_op>\\/)
-      | (?P<not_op>~)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
+    r"""\s*(?:(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+         | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+         | (?P<symbol>=>|<=|>=|/\\|\\/|[()|=<>~+\-*])
+         | (?P<bad>.)
+         | (?P<end>\Z))""",
+    re.VERBOSE | re.DOTALL,
 )
 
-_KEYWORDS = {"not": "not_op", "and": "and_op", "or": "or_op"}
+# the kind of each keyword and of its symbol form; another name has kind
+# "name" and another symbol is its own kind
+_KINDS = {"not": "not", "~": "not", "and": "and", "/\\": "and", "or": "or", "\\/": "or"}
+
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str) -> list[Token]:
+    """The ``(kind, text, position)`` tokens of constraint-language text,
+    ending with an ``end`` token.  A kind is ``number``, ``name``, the
+    operator of a keyword or symbol, ``end``, or ``bad`` for a character
+    no token starts with, so tokenizing never raises."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            if kind == "ident" and value in _KEYWORDS:
-                kind = _KEYWORDS[value]
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        value = m.group(group)
+        kind = _KINDS.get(value, group if group != "symbol" else value)
+        tokens.append((kind, value, m.start(group)))
     return tokens
 
 
-class _FormulaParser:
-    def __init__(self, text: str, frame: ProductFrame):
-        self.text = text
-        self.frame = frame
-        self.tokens = _tokenize(text)
-        self.i = 0
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+# the node of each binary operator's token kind
+_BINARY = {"=>": Implies, "or": Or, "and": And}
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}", tok[2])
-        return tok
+def formula_at(tokens: list[Token], i: int, frame: ProductFrame,
+               min_prec: int = 1) -> tuple[Formula, int]:
+    """The longest formula starting at token ``i`` whose operators bind
+    at least as tightly as ``min_prec``, and the index of the token after
+    it (precedence climbing).
 
-    def parse(self) -> Formula:
-        f = self.implies()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise FormulaSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        return f
+    Raises :class:`FormulaSyntaxError` and :class:`FormulaError` at the
+    offending token's position."""
+    left, i = _operand(tokens, i, frame)
+    while True:
+        node = _BINARY.get(tokens[i][0])
+        if node is None or _PRECEDENCE[node] < min_prec:
+            return left, i
+        # the right operand of '=>' may hold another '=>': right-associative
+        right, i = formula_at(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies))
+        left = node(left, right)
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implies())
-        return left
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or_op":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
+def _operand(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[Formula, int]:
+    """A negation, a parenthesized formula or an atom at token ``i``."""
+    kind, value, pos = tokens[i]
+    if kind == "not":
+        child, i = _operand(tokens, i + 1, frame)
+        return Not(child), i
+    if kind == "(":
+        f, i = formula_at(tokens, i + 1, frame)
+        kind, value, pos = tokens[i]
+        if kind != ")":
+            raise FormulaSyntaxError(f"expected ')', found {value!r}" if value else "expected ')'", pos)
+        return f, i + 1
+    if kind == "name":
+        if value not in frame.names:
+            raise FormulaError(f"unknown variable {value!r}", pos)
+        if tokens[i + 1][0] == "=":
+            vkind, vval, vpos = tokens[i + 2]
+            if vkind != "name":
+                raise FormulaSyntaxError("expected a value after '='", vpos)
+            if vval not in frame.values(value):
+                raise FormulaError(f"variable {value!r} has no value {vval!r}", vpos)
+            return Atom(value, vval), i + 3
+        if not frame.is_boolean(value):
+            raise FormulaError(
+                f"bare {value!r} is shorthand for {value} = Yes, but {value!r} is not boolean", pos)
+        return Atom(value, "Yes"), i + 1
+    raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value else "unexpected end of formula", pos)
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "and_op":
-            self.take()
-            f = And(f, self.unary())
-        return f
 
-    def unary(self) -> Formula:
-        if self.peek()[0] == "not_op":
-            self.take()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "lparen":
-            f = self.implies()
-            self.expect("rparen", "')'")
-            return f
-        if kind == "ident":
-            var = value
-            if var not in self.frame.names:
-                raise FormulaError(f"unknown variable {var!r}", pos)
-            if self.peek()[0] == "eq":
-                self.take()
-                vkind, vval, vpos = self.take()
-                if vkind != "ident":
-                    raise FormulaSyntaxError("expected a value after '='", vpos)
-                if vval not in self.frame.values(var):
-                    raise FormulaError(f"variable {var!r} has no value {vval!r}", vpos)
-                return Atom(var, vval)
-            if not self.frame.is_boolean(var):
-                raise FormulaError(
-                    f"bare {var!r} is shorthand for {var} = Yes, but {var!r} is not boolean", pos)
-            return Atom(var, "Yes")
-        raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value else "unexpected end of formula", pos)
+# the token kinds a formula is made of
+_FORMULA_KINDS = frozenset(("name", "(", ")", "=", "=>", "not", "and", "or", "end"))
 
 
 def parse_formula(text: str, frame: ProductFrame) -> Formula:
@@ -453,13 +434,20 @@ def parse_formula(text: str, frame: ProductFrame) -> Formula:
 
     Raises :class:`FormulaSyntaxError` (with character position) on bad
     syntax and :class:`FormulaError` on undeclared variables or values.
+    A character outside the formula language is reported before any
+    other error.
     """
     if not text.strip():
         raise FormulaSyntaxError("empty formula", 0)
-    return _FormulaParser(text, frame).parse()
-
-
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+    tokens = tokenize(text)
+    for kind, _, pos in tokens:
+        if kind not in _FORMULA_KINDS:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    formula, i = formula_at(tokens, 0, frame)
+    kind, value, pos = tokens[i]
+    if kind != "end":
+        raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+    return formula
 
 
 def pretty(formula: Formula, frame: ProductFrame | None = None) -> str:

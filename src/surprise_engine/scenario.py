@@ -41,11 +41,12 @@ from .constraints import (
     BelTerm,
     CompiledSystem,
     Constraint,
+    bel_term_at,
     compile_constraints,
     parse_constraint,
 )
 from .errors import EngineError, ScenarioError
-from .frames import ProductFrame
+from .frames import ProductFrame, tokenize
 
 _SECTIONS = ("config", "variables", "constants", "constraints", "calibration", "queries")
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -153,7 +154,10 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
     for key, value in (overrides or {}).items():
         value = value.strip()
         if key in _INT_CONFIG_KEYS:
-            setattr(config, key, int(value))
+            try:
+                setattr(config, key, int(value))
+            except ValueError:
+                raise ScenarioError(f"--set {key}={value}: {key!r} needs an integer") from None
         elif value.lower() in _TRUE_WORDS or value.lower() in _FALSE_WORDS:
             config.flags[key] = value.lower() in _TRUE_WORDS
         else:
@@ -224,14 +228,12 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
 
 def parse_query_term(text: str, frame: ProductFrame) -> BelTerm:
     """Parse a bare ``Bel(target)`` or ``Bel(target | evidence)``."""
-    from .constraints import _scan_bel
-
-    stripped = text.strip()
-    if not stripped.startswith("Bel"):
-        raise ScenarioError(f"a query must be a single Bel(...) term, got {stripped!r}")
-    term, end = _scan_bel(stripped, 3, frame)
-    if stripped[end:].strip():
-        raise ScenarioError(f"trailing input after Bel(...): {stripped[end:].strip()!r}")
+    tokens = tokenize(text)
+    if tokens[0][:2] != ("name", "Bel"):
+        raise ScenarioError(f"a query must be a single Bel(...) term, got {text.strip()!r}")
+    term, i = bel_term_at(tokens, 0, frame)
+    if tokens[i][0] != "end":
+        raise ScenarioError(f"trailing input after Bel(...): {text[tokens[i][2]:].strip()!r}")
     return term
 
 

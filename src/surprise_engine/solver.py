@@ -260,13 +260,13 @@ def _point(num_vars: int, keep: np.ndarray, T: np.ndarray, basis: np.ndarray) ->
     return x
 
 
-def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
+def solve(lp: LinearProgram, objective=None, *,
           max_pivots: int = DEFAULT_MAX_PIVOTS) -> SolveResult:
     """Two-phase simplex.
 
     Returns ``INFEASIBLE``; ``OPTIMAL`` with value and point when an
-    ``objective`` coefficient vector is given, maximized unless
-    ``maximize`` is false; or ``FEASIBLE`` with a satisfying point.  Only
+    ``objective`` coefficient vector is given, which is maximized (to
+    minimize, negate it); or ``FEASIBLE`` with a satisfying point.  Only
     the first solve of a program runs phase 1.  Every solve runs phase 2
     on a copy of the program's feasible tableau, and ``pivots`` counts the
     pivots of this solve.  Raises :class:`IterationLimit` when the pivot
@@ -291,8 +291,7 @@ def solve(lp: LinearProgram, objective=None, *, maximize: bool = True,
     T, basis = T.copy(), basis.copy()
     width = T.shape[1] - 1
     cost = np.zeros(width + 1)
-    struct_cost = objective[keep]
-    cost[:keep.size] = -struct_cost if maximize else struct_cost
+    cost[:keep.size] = -objective[keep]
     z2 = cost.copy()
     for i in range(T.shape[0]):
         if cost[basis[i]] != 0.0:

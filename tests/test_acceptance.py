@@ -100,8 +100,9 @@ def test_criterion_2_impossibility_suite():
         # a vertex of the closure, moved halfway to the strict witness,
         # meets both strict rows strictly
         objective = np.array([rng.uniform(-1, 1) for _ in range(system4.mass_dim)])
-        sol = solve(constraints._program(system4), constraints._objective(system4, objective),
-                    maximize=rng.random() < 0.5)
+        if rng.random() >= 0.5:  # minimize: maximize the negation
+            objective = -objective
+        sol = solve(constraints._program(system4), constraints._objective(system4, objective))
         point = 0.5 * (sol.point[:system4.mass_dim] + res.witness.to_vector())
         witnesses.append(MassFunction.from_vector(pac, point))
     for w in witnesses:
@@ -381,8 +382,9 @@ def test_criterion_7_minimum_commitment_dominance():
             continue
         for _ in range(20):
             objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-            sol = solve(constraints._program(system), objective,
-                        maximize=rng.random() < 0.5)
+            if rng.random() >= 0.5:  # minimize: maximize the negation
+                objective = -objective
+            sol = solve(constraints._program(system), objective)
             witness = MassFunction.from_vector(frame, sol.point)
             assert leq_committed(result, witness, tol=1e-6)
         succeeded += 1

@@ -5,14 +5,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surprise_engine import (
+    And,
+    Atom,
     BelTerm,
     CompileError,
     ConstraintError,
     EngineError,
+    Implies,
     InfeasibleSystem,
     MassFunction,
+    Not,
+    Or,
     ProductFrame,
     QueryUndefinedEverywhere,
     SolverError,
@@ -32,8 +39,10 @@ from surprise_engine import (
     solve,
     surprise_report,
 )
-from surprise_engine.errors import ConditioningUndefined
+from surprise_engine.errors import ConditioningUndefined, ScenarioError
+from surprise_engine.scenario import parse_query_term
 from conftest import counting_solves, random_frame, random_mass, random_subset, subset_formula
+from test_frames import _FRAME, formulas
 
 
 @pytest.fixture
@@ -103,6 +112,150 @@ class TestParsing:
     def test_formula_errors_surface(self, hire_frame):
         with pytest.raises(ConstraintError, match="unknown variable"):
             parse_constraint("Bel(FIRE) = 1", hire_frame)
+
+    def test_coefficient_without_star(self, hire_frame):
+        con = parse_constraint("0.5 Bel(HIRE) <= 1", hire_frame)
+        assert con.terms == ((0.5, term(hire_frame, "HIRE")),)
+        assert (con.relop, con.const) == ("<=", 1.0)
+        frame = ProductFrame([("M", ("Yes", "No"))])
+        con = parse_constraint("c Bel(M) = 0.3", frame, {"c": 0.6})
+        assert con.terms == ((0.6, term(frame, "M")),)
+        assert con.const == 0.3
+
+
+# each malformed text, the class of its error and the error's position in
+# the text; ScenarioError carries none
+MALFORMED_CONSTRAINTS = [
+    ("Bel(FIRE) = 1", ConstraintError, 4),  # unknown variable inside Bel
+    ("Bel(HIRE | HIRE | HIRE) = 1", ConstraintError, 16),  # a second '|'
+    ("Bel(HIRE <= 1", ConstraintError, 9),  # unclosed Bel(
+    ("Bel(HIRE) <= 0.5 * 0.3", ConstraintError, 19),  # '*' without Bel
+    ("* Bel(HIRE) <= 0.5", ConstraintError, 0),  # '*' without a coefficient
+    ("Bel(HIRE) <= 1 +", ConstraintError, 16),  # dangling '+'
+    ("Bel(HIRE) + 0.2", ConstraintError, 15),  # no relational operator
+    ("Bel(HIRE) = 0.2 = 0.3", ConstraintError, 16),  # two relational operators
+    ("Bel(HIRE) = 0.2 & 0.3", ConstraintError, 16),  # a character outside the language
+]
+MALFORMED_QUERIES = [
+    ("Bel(FIRE)", ConstraintError, 4),
+    ("Bel(HIRE | HIRE | HIRE)", ConstraintError, 16),
+    ("Bel(HIRE", ConstraintError, 8),
+    ("Bel HIRE", ConstraintError, 4),
+    ("Bel(HIRE) junk", ScenarioError, None),
+    ("BelHIRE)", ScenarioError, None),
+    ("HIRE", ScenarioError, None),
+]
+
+
+@pytest.mark.parametrize("text, error, position", MALFORMED_CONSTRAINTS)
+def test_malformed_constraint(hire_frame, text, error, position):
+    with pytest.raises(error) as err:
+        parse_constraint(text, hire_frame)
+    assert type(err.value) is error
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, error, position", MALFORMED_QUERIES)
+def test_malformed_query(hire_frame, text, error, position):
+    with pytest.raises(error) as err:
+        parse_query_term(text, hire_frame)
+    assert type(err.value) is error
+    assert getattr(err.value, "position", None) == position
+
+
+def test_formula_error_column_counts_from_the_constraint(hire_frame):
+    with pytest.raises(ConstraintError, match=r"unknown variable 'FIRE' \(at column 17\)"):
+        parse_constraint("Bel(HIRE) = Bel(FIRE)", hire_frame)
+
+
+# -- rendering a random constraint and parsing it back -------------------------
+
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+_SPELLINGS = {Implies: ("=>",), Or: ("or", "\\/"), And: ("and", "/\\"), Not: ("not", "~")}
+_CONSTANTS = {"k": 0.75}
+_FORMULAS = formulas(_FRAME)
+
+
+def _pad(rng, word=""):
+    """Spaces around a token; a keyword needs one to part it from a name."""
+    return " " * rng.randint(word.isalpha(), 2)
+
+
+def _render(f, rng, limit=0):
+    """The formula in random spacing and spellings, parenthesized where
+    its operator binds less tightly than ``limit`` and at random."""
+    if isinstance(f, Atom):
+        if f.value == "Yes" and _FRAME.is_boolean(f.var) and rng.random() < 0.5:
+            text = f.var
+        else:
+            text = f"{f.var}{_pad(rng)}={_pad(rng)}{f.value}"
+    elif isinstance(f, Not):
+        word = rng.choice(_SPELLINGS[Not])
+        text = word + _pad(rng, word) + _render(f.child, rng, 4)
+    else:
+        prec = _PRECEDENCE[type(f)]
+        right_assoc = isinstance(f, Implies)
+        word = rng.choice(_SPELLINGS[type(f)])
+        text = (_render(f.left, rng, prec + right_assoc) + _pad(rng, word) + word
+                + _pad(rng, word) + _render(f.right, rng, prec + (not right_assoc)))
+    if _PRECEDENCE[type(f)] < limit or rng.random() < 0.1:
+        text = f"({_pad(rng)}{text}{_pad(rng)})"
+    return text
+
+
+@st.composite
+def _rendered_constraints(draw):
+    """A random constraint's text with the terms, relop and constant it
+    stands for.  Coefficients are dyadic, so every sum is exact."""
+    rng = draw(st.randoms(use_true_random=False))
+    sides = []
+    for _ in range(2):
+        items = []
+        for n in range(draw(st.integers(1, 3))):
+            signs = draw(st.lists(st.sampled_from("+-"), min_size=n > 0, max_size=2))
+            sign = (-1.0) ** signs.count("-")
+            text = "".join(_pad(rng) + s for s in signs) + _pad(rng)
+            coef = draw(st.sampled_from([None, "k", 0.25, 0.5, 1.0, 1.5, 3.0]))
+            if draw(st.booleans()):
+                target = draw(_FORMULAS)
+                evidence = draw(st.none() | _FORMULAS)
+                if coef is not None:
+                    text += (coef if coef == "k" else repr(coef)) + rng.choice([" ", "*", " * "])
+                text += f"Bel{_pad(rng)}({_pad(rng)}{_render(target, rng)}"
+                if evidence is not None:
+                    text += f"{_pad(rng)}|{_pad(rng)}{_render(evidence, rng)}"
+                text += f"{_pad(rng)})"
+                term = BelTerm(target, evidence)
+            else:
+                coef = 0.75 if coef is None else coef
+                text += coef if coef == "k" else repr(coef)
+                term = None
+            items.append((sign * _CONSTANTS.get(coef, 1.0 if coef is None else coef), term, text))
+        sides.append(items)
+    relop = draw(st.sampled_from(["=", "<=", ">=", "<", ">"]))
+    merged, consts = {}, [0.0, 0.0]
+    for side, weight in ((0, 1.0), (1, -1.0)):
+        for coef, term, _ in sides[side]:
+            if term is None:
+                consts[side] += coef
+            else:
+                merged[term] = merged.get(term, 0.0) + weight * coef
+    text = ("".join(t for _, _, t in sides[0]) + _pad(rng) + relop
+            + "".join(t for _, _, t in sides[1]) + _pad(rng))
+    terms = tuple((coef, term) for term, coef in merged.items() if coef != 0.0)
+    return text, terms, relop, consts[1] - consts[0]
+
+
+@given(_rendered_constraints())
+@settings(max_examples=100)
+def test_rendered_constraint_parses_back(case):
+    text, terms, relop, const = case
+    if not terms:
+        with pytest.raises(ConstraintError, match="no belief term"):
+            parse_constraint(text, _FRAME, _CONSTANTS)
+        return
+    con = parse_constraint(text, _FRAME, _CONSTANTS)
+    assert (con.terms, con.relop, con.const) == (terms, relop, const)
 
 
 class TestCompile:
@@ -659,7 +812,9 @@ class TestMincommit:
 
 def _random_feasible_witness(system, rng):
     objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
-    res = solve(constraints._program(system), objective, maximize=rng.random() < 0.5)
+    if rng.random() >= 0.5:  # minimize: maximize the negation
+        objective = -objective
+    res = solve(constraints._program(system), objective)
     return MassFunction.from_vector(system.frame, res.point)
 
 

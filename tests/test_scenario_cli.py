@@ -183,6 +183,30 @@ class TestCli:
         assert main(["calibrate", str(f), "51", "43"]) == 0
         assert "0.4" in capsys.readouterr().out
 
+    def test_calibrate_rejects_a_non_positive_ratio(self, capsys, tmp_path):
+        f = tmp_path / "cal.bel"
+        f.write_text("[variables]\nA: Yes, No\n\n[calibration]\n51 vs 43 -> 4\n")
+        for x, y in (("0", "5"), ("51", "-43")):
+            assert main(["calibrate", str(f), x, y]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--set", "max_theta=abc"],
+        ["check", "--set", "max_parameters=x"],
+        ["bounds", "Bel(FIRE)"],
+        ["bounds", "Bel(HIRE) junk"],
+        ["surprise", "HIRE or"],
+        ["condition", "HIRE or"],
+    ])
+    def test_bad_argument_is_a_usage_error(self, capsys, args):
+        command, *rest = args
+        assert main([command, str(bundled_scenario("hire.bel")), *rest]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_set_override(self, capsys):
         assert main(["bounds", str(bundled_scenario("bunker.bel")), "Bel(M | P)",
                      "--set", "independence=off"]) == 0
@@ -485,6 +509,16 @@ class TestRepl:
         replies = _replies(out)
         assert replies[1].startswith("ERROR")
         assert replies[2] == ""
+        assert code == 0
+
+    def test_malformed_arguments_print_errors(self):
+        commands = ["assume Bel(RAIN) = = 1", "assume Bel(FIRE) = 1", "bounds Bel(FIRE)",
+                    "bounds Bel(RAIN) junk", "bounds RAIN or"]
+        code, out = _run_repl(RAIN_SCENARIO, commands + ["list", "quit"])
+        replies = _replies(out)
+        assert all(reply.startswith("ERROR ") and reply.count("\n") == 1
+                   for reply in replies[1:len(commands) + 1])
+        assert replies[len(commands) + 1] == ""
         assert code == 0
 
     def test_assume_that_does_not_compile_changes_nothing(self):

@@ -125,7 +125,8 @@ def test_agreement_with_grid_search_small():
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.0, 0.8)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
         maximize = rng.random() < 0.5
-        res = solve(simplex_program(n, rows), objective, maximize=maximize)
+        sign = 1.0 if maximize else -1.0  # a minimum is minus the maximum of the negation
+        res = solve(simplex_program(n, rows), np.multiply(sign, objective))
         steps = 400
         grid = _grid_optimum(n, rows, objective, maximize, steps)
         if res.status == INFEASIBLE:
@@ -134,7 +135,7 @@ def test_agreement_with_grid_search_small():
             assert _margin(_grid(n, steps), rows).max() <= 1.0 / steps
             continue
         assert grid is not None
-        assert res.value == pytest.approx(grid, abs=5e-3)
+        assert sign * res.value == pytest.approx(grid, abs=5e-3)
 
 
 def test_agreement_with_grid_search_wider():
@@ -146,7 +147,7 @@ def test_agreement_with_grid_search_wider():
             coeffs = [rng.uniform(-1, 1) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), rng.uniform(0.1, 0.9)))
         objective = [rng.uniform(-1, 1) for _ in range(n)]
-        res = solve(simplex_program(n, rows), objective, maximize=True)
+        res = solve(simplex_program(n, rows), objective)
         steps = 25
         grid = _grid_optimum(n, rows, objective, True, steps)
         if res.status == INFEASIBLE:
@@ -229,10 +230,10 @@ def test_warm_start_matches_cold_solve():
             continue
         for _ in range(6):
             objective = [rng.uniform(-1, 1) for _ in range(n)]
-            maximize = rng.random() < 0.5
-            warm = solve(lp, objective, maximize=maximize)
-            cold = solve(simplex_program(n, rows, zero_vars=zero_vars), objective,
-                         maximize=maximize)
+            if rng.random() >= 0.5:  # minimize: maximize the negation
+                objective = [-c for c in objective]
+            warm = solve(lp, objective)
+            cold = solve(simplex_program(n, rows, zero_vars=zero_vars), objective)
             assert warm.status == cold.status == OPTIMAL
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             checked += 1
@@ -243,8 +244,8 @@ def test_infeasible_program_stays_infeasible():
     lp = simplex_program(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)])
     assert solve(lp).status == INFEASIBLE
     for objective in ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]):
-        for maximize in (True, False):
-            res = solve(lp, objective, maximize=maximize)
+        for sign in (1.0, -1.0):
+            res = solve(lp, np.multiply(sign, objective))
             assert res.status == INFEASIBLE
             assert res.pivots == 0
 
@@ -268,13 +269,13 @@ def test_bland_fallback_agrees_with_default_rule(monkeypatch, threshold):
         n = rng.randint(3, 10)
         objective = [rng.uniform(-1, 1) for _ in range(n)]
         rows = _degenerate_rows(rng, n)
-        maximize = rng.random() < 0.5
-        cases.append((n, rows, objective, maximize,
-                      solve(simplex_program(n, rows), objective, maximize=maximize)))
+        if rng.random() >= 0.5:  # minimize: maximize the negation
+            objective = [-c for c in objective]
+        cases.append((n, rows, objective, solve(simplex_program(n, rows), objective)))
     monkeypatch.setattr(solver, "BLAND_AFTER", threshold)
-    for n, rows, objective, maximize, default in cases:
+    for n, rows, objective, default in cases:
         # a fresh program, so that phase 1 also runs under the fallback
-        res = solve(simplex_program(n, rows), objective, maximize=maximize)
+        res = solve(simplex_program(n, rows), objective)
         assert res.status == default.status == OPTIMAL
         assert res.value == pytest.approx(default.value, abs=1e-9)
 
@@ -409,15 +410,15 @@ def test_agrees_with_highs_on_compiled_systems():
         for maximize in (True, False):
             try:
                 ours = solve(simplex_program(system.mass_dim, rows, zero_vars=(0,)),
-                             objective, maximize=maximize)
+                             objective if maximize else -objective)
             except SolverError:
                 assert _marginal(linprog, system.mass_dim, rows)
                 margin_only += 1
                 continue
             theirs = _highs(linprog, system.mass_dim, rows, objective, maximize)
             if ours.status == OPTIMAL and theirs.status == 0:
-                assert ours.value == pytest.approx(-theirs.fun if maximize else theirs.fun,
-                                                   abs=1e-6)
+                value = ours.value if maximize else -ours.value
+                assert value == pytest.approx(-theirs.fun if maximize else theirs.fun, abs=1e-6)
                 compared += 1
             elif ours.status == OPTIMAL or theirs.status == 0:
                 point = ours.point if ours.status == OPTIMAL else theirs.x
