@@ -11,7 +11,7 @@ surprise at an event is the belief that it would not happen.
 from __future__ import annotations
 
 from math import fsum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,19 +68,23 @@ class MassFunction:
 
     @classmethod
     def from_vector(cls, frame: ProductFrame, vector: np.ndarray, *,
-                    clip: float = 1e-7) -> "MassFunction":
-        """Build from a dense mass vector indexed by subset bitmask.
+                    clip: float = 1e-7, subsets: Sequence[int] | None = None) -> "MassFunction":
+        """Build from a mass vector: entry ``i`` is the mass of the subset
+        with bitmask ``subsets[i]``, by default of the subset with bitmask
+        ``i``.
 
         Entries within ``clip`` of zero are treated as solver noise: small
         negatives are clamped, weights below :data:`PRUNE_TOL` dropped, and
         the remainder renormalized.
         """
         vec = np.asarray(vector, dtype=float)
-        if vec.shape != (1 << frame.theta_size,):
+        if subsets is None:
+            subsets = range(1 << frame.theta_size)
+        if vec.shape != (len(subsets),):
             raise InvalidMassFunction(f"vector length {vec.shape} does not match the frame")
         if vec.min() < -clip:
             raise InvalidMassFunction(f"vector entry {vec.min()} is significantly negative")
-        masses = {int(bits): float(v) for bits, v in enumerate(vec) if bits and v > PRUNE_TOL}
+        masses = {int(bits): float(v) for bits, v in zip(subsets, vec) if bits and v > PRUNE_TOL}
         total = fsum(masses.values())
         if abs(total - 1.0) > 1e-6:
             raise InvalidMassFunction(f"vector sums to {total!r}, not 1")

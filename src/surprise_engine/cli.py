@@ -2,7 +2,7 @@
 REPL, and the bundled scenario corpus.
 
 Exit codes: 0 success, 1 infeasible system or undefined query, 2 usage or
-parse error.
+parse error, or a frame over a size cap.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     ConstraintError,
     EngineError,
     FormulaError,
+    FrameTooLarge,
     InfeasibleSystem,
     QueryUndefinedEverywhere,
     ScenarioError,
@@ -349,7 +350,11 @@ class Repl:
             queries=[(f"q{i + 1}", term) for i, (term, _) in enumerate(self.queries.values())],
             config=self.scenario.config,
         )
-        Path(text).write_text(render_scenario(snapshot))
+        try:
+            Path(text).write_text(render_scenario(snapshot))
+        except OSError as exc:
+            self.say(f"ERROR cannot write {text}: {exc.strerror or exc}")
+            return
         self.say(f"SAVED {text}")
 
 
@@ -438,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CompileError, ConstraintError, FormulaError, ScenarioError) as exc:
+    except (CompileError, ConstraintError, FormulaError, FrameTooLarge, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineError as exc:

@@ -1,5 +1,5 @@
 """The user-facing constraint language over belief fragments and its
-reduction to linear systems on the mass vector.
+reduction to linear systems over a column basis of the mass function.
 
 A constraint relates linear combinations of belief terms, e.g.::
 
@@ -8,7 +8,16 @@ A constraint relates linear combinations of belief terms, e.g.::
     Bel(PARTY) = Bel(PARTY | RAIN)
     Bel(TEMP=med or TEMP=low) > Bel(TEMP=med) + Bel(TEMP=low)
 
-Unconditional terms are linear in the mass vector directly.  A single
+A row sees a mass function only through ``Bel`` of the sets it names,
+so the LP columns are the nonempty sets of the intersection closure of
+the frame and every named set, not the 2^|theta| subsets.  A focal set
+lies inside a named set iff the least column containing it does, so
+moving each focal set's mass onto that column changes no row, and a
+point of the columns is itself a mass function (Fagin & Halpern 1991).
+``bounds`` refines the basis by its query's sets and the lower envelope
+by every subset; a finer basis is just as exact.
+
+Unconditional terms are linear in the columns directly.  A single
 conditional term against constants is cleared of its denominator through
 ``Bel(A|B) = (Bel(A or not B) - Bel(not B)) / (1 - Bel(not B))``, and the
 guard ``Bel(not B) < 1`` keeps that denominator positive.  An equality
@@ -26,7 +35,7 @@ tightened first at the root; each cell relaxes the parameterized rows to
 interval rows, and a parameter-free system is the zero-dimensional box.
 Feasibility searches depth-first; each end of bounds gets a best-first
 search keyed by the cells' relaxed optima.  A query is a quotient of two
-linear functions of the mass vector, optimized over a cell by
+linear functions of the columns, optimized over a cell by
 Dinkelbach's method.  The lower envelope walks the subsets by size and
 runs a best-first search only for a subset whose value the witnesses
 found so far and its own subsets' values leave open.
@@ -44,7 +53,7 @@ with parameters or without.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
 from math import fsum
@@ -148,7 +157,7 @@ def bel_term_at(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[BelTe
         if tokens[i][0] == "|":
             evidence, i = formula_at(tokens, i + 1, frame)
     except FormulaError as exc:
-        raise ConstraintError(f"inside Bel(...): {exc}", exc.position) from exc
+        raise ConstraintError(f"inside Bel(...): {exc.args[0]}", exc.position) from exc
     if tokens[i][0] == "|":
         raise ConstraintError("more than one '|' inside Bel(...)", tokens[i][2])
     if tokens[i][0] != ")":
@@ -246,21 +255,26 @@ class ParamRow:
 
 @dataclass(eq=False)
 class CompiledSystem:
-    """A constraint set lowered onto the mass vector of its frame."""
+    """A constraint set lowered onto its column basis.
+
+    ``columns`` are the nonempty sets of the intersection closure of the
+    whole frame and every set a row mentions, in bitmask order.  Column
+    ``C`` carries the mass of every focal set whose closure, the least
+    column that contains it, is ``C``: a focal set lies inside a
+    mentioned set iff its closure does, so each row reads the same on a
+    mass function and on its columns, and a point of the columns is
+    itself a mass function focused on them.  A finer basis (see
+    :func:`refine`) is just as exact."""
 
     frame: ProductFrame
     constraints: tuple[Constraint, ...]
+    columns: tuple[int, ...]
     static_rows: list[StaticRow]
     param_rows: list[ParamRow]
     num_params: int
     # per constraint, the guard bits ``not g`` of each evidence ``g`` it
     # conditions on, in term order
     conditions: tuple[tuple[int, ...], ...] = ()
-    _vec_cache: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def mass_dim(self) -> int:
-        return 1 << self.frame.theta_size
 
     @cached_property
     def strict(self) -> bool:
@@ -268,80 +282,95 @@ class CompiledSystem:
         carry the slack column ``delta``?"""
         return any(row.strict for row in self.static_rows)
 
+    @cached_property
+    def column_bits(self) -> np.ndarray:
+        return np.array(self.columns, dtype=np.int64 if self.frame.theta_size < 63 else object)
+
     def bel_vector(self, bits: int) -> np.ndarray:
-        """Coefficient vector of ``Bel`` of the subset: indicator of the
-        sub-bitmasks of ``bits``."""
-        cached = self._vec_cache.get(bits)
-        if cached is None:
-            cached = ((np.arange(self.mass_dim) & ~bits) == 0).astype(float)
-            self._vec_cache[bits] = cached
-        return cached
+        """Coefficient vector of ``Bel`` of the subset: the indicator of the
+        columns inside it.  Exact for every intersection of basis sets."""
+        return ((self.column_bits & ~bits) == 0).astype(float)
+
+
+def _closure(columns: Sequence[int], sets) -> tuple[int, ...]:
+    """The nonempty sets of the intersection closure of ``columns``, a
+    closed family that holds the whole frame, and ``sets``, in bitmask
+    order."""
+    family = set(columns)
+    for bits in sets:
+        if bits not in family:
+            family |= {c & bits for c in family}
+    family.discard(0)
+    return tuple(sorted(family))
 
 
 def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, *,
                         max_theta: int = DEFAULT_COMPILE_MAX_THETA,
                         max_parameters: int = DEFAULT_MAX_PARAMETERS) -> CompiledSystem:
-    """Lower constraints to rows over the mass vector.
+    """Lower constraints to rows over their column basis.
 
     Raises :class:`FrameTooLarge` over the cap and :class:`CompileError`
     for relations outside the supported linear forms or needing more than
     ``max_parameters`` parameters.
     """
     if frame.theta_size > max_theta:
-        raise FrameTooLarge(
-            f"frame has {frame.theta_size} points; compile cap is {max_theta} "
-            f"(mass vector would have {1 << frame.theta_size} coordinates)")
-    system = CompiledSystem(frame, tuple(constraints), [], [], 0)
-    conditions = []
+        raise FrameTooLarge(f"frame has {frame.theta_size} points; compile cap is {max_theta}")
+    # each term as (coef, extension of its target or, for a conditional,
+    # of ``f or not g``, and ``not g`` or None), and each constraint's
+    # parameter or None
+    forms = []
     num_params = 0
-    for idx, con in enumerate(constraints):
-        const = con.const
-        strict = con.relop in ("<", ">")
-        relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
-
-        conditionals = [(c, t) for c, t in con.terms if t.evidence is not None]
-        conditions.append(tuple(frame.full_bits ^ extension_bits(frame, t.evidence)
-                                for _, t in conditionals))
-
-        if not conditionals:
-            coeffs = np.zeros(system.mass_dim)
-            for coef, term in con.terms:
-                coeffs += coef * system.bel_vector(extension_bits(frame, term.target))
-            system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
-            continue
-
-        if len(con.terms) == 1:
-            # k * Bel(f|g) relop c, cleared through the normalizer:
-            # k*Bel(f or not g) + (c-k)*Bel(not g) relop c
-            coef, term = con.terms[0]
-            g = extension_bits(frame, term.evidence)
-            not_g = frame.full_bits ^ g
-            u = extension_bits(frame, term.target) | not_g
-            coeffs = coef * system.bel_vector(u) + (const - coef) * system.bel_vector(not_g)
-            system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
-            continue
-
-        coefs = sorted(c for c, _ in con.terms)
-        if (con.relop == "=" and con.const == 0.0 and len(con.terms) == 2
-                and coefs == [-1.0, 1.0]):
-            # Equality of two belief terms, at least one conditional:
-            # introduce one parameter for the shared value.
+    for con in constraints:
+        terms = []
+        for coef, term in con.terms:
+            f = extension_bits(frame, term.target)
+            if term.evidence is None:
+                terms.append((coef, f, None))
+            else:
+                not_g = frame.full_bits ^ extension_bits(frame, term.evidence)
+                terms.append((coef, f | not_g, not_g))
+        param = None
+        if len(terms) > 1 and any(not_g is not None for _, _, not_g in terms):
+            if not (con.relop == "=" and con.const == 0.0 and len(terms) == 2
+                    and sorted(c for c, _, _ in terms) == [-1.0, 1.0]):
+                raise CompileError(
+                    f"constraint {con.render(frame)!r} mixes conditional belief terms "
+                    "nonlinearly; supported forms are a single conditional term against "
+                    "constants, or an equality between two belief terms")
+            # equality of two belief terms, at least one conditional: one
+            # parameter for the shared value
             num_params += 1
             if num_params > max_parameters:
                 raise CompileError(
                     f"constraint set needs more than {max_parameters} parameters")
-            for _, term in con.terms:
-                system.param_rows.append(_param_row(system, term, num_params - 1, idx))
+            param = num_params - 1
+        forms.append((terms, param))
+
+    mentioned = {bits for terms, _ in forms for _, u, not_g in terms for bits in (u, not_g)
+                 if bits is not None}
+    conditions = tuple(tuple(not_g for _, _, not_g in terms if not_g is not None)
+                       for terms, _ in forms)
+    system = CompiledSystem(frame, tuple(constraints), _closure((frame.full_bits,), mentioned),
+                            [], [], num_params, conditions)
+    for idx, (con, (terms, param)) in enumerate(zip(constraints, forms)):
+        if param is not None:
+            for _, u, not_g in terms:
+                system.param_rows.append(_param_row(system, u, not_g, param, idx))
             continue
-
-        raise CompileError(
-            f"constraint {con.render(frame)!r} mixes conditional belief terms "
-            "nonlinearly; supported forms are a single conditional term against "
-            "constants, or an equality between two belief terms")
-
-    system.conditions = tuple(conditions)
+        const = con.const
+        strict = con.relop in ("<", ">")
+        relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
+        coef, u, not_g = terms[0]
+        if not_g is not None:  # the only term is conditional
+            # k * Bel(f|g) relop c, cleared through the normalizer:
+            # k*Bel(f or not g) + (c-k)*Bel(not g) relop c
+            coeffs = coef * system.bel_vector(u) + (const - coef) * system.bel_vector(not_g)
+        else:
+            coeffs = np.zeros(len(system.columns))
+            for coef, f, _ in terms:
+                coeffs += coef * system.bel_vector(f)
+        system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
     system.static_rows += _guard_rows(system)
-    system.num_params = num_params
     return system
 
 
@@ -372,8 +401,8 @@ def subsystem(system: CompiledSystem, keep: Sequence[int]) -> CompiledSystem:
     again in order.  A guard stays iff a kept constraint conditions on its
     evidence, owned by the first of them."""
     new = {old: idx for idx, old in enumerate(keep)}
-    sub = CompiledSystem(system.frame, tuple(system.constraints[i] for i in keep), [], [], 0,
-                         tuple(system.conditions[i] for i in keep), system._vec_cache)
+    sub = CompiledSystem(system.frame, tuple(system.constraints[i] for i in keep),
+                         system.columns, [], [], 0, tuple(system.conditions[i] for i in keep))
     for row in sorted((r for r in system.static_rows
                        if not isinstance(r.origin, str) and r.origin in new),
                       key=lambda r: new[r.origin]):
@@ -388,18 +417,60 @@ def subsystem(system: CompiledSystem, keep: Sequence[int]) -> CompiledSystem:
     return sub
 
 
-def _param_row(system: CompiledSystem, term: BelTerm, param: int, origin: int) -> ParamRow:
-    frame = system.frame
-    if term.evidence is None:
+def _param_row(system: CompiledSystem, u: int, not_g: int | None, param: int,
+               origin: int) -> ParamRow:
+    if not_g is None:
         # Bel(f) = t  <=>  Bel(f) - t = 0
-        return ParamRow(system.bel_vector(extension_bits(frame, term.target)), 0.0,
-                        np.zeros(system.mass_dim), 1.0, param, origin)
-    g = extension_bits(frame, term.evidence)
-    not_g = frame.full_bits ^ g
-    u = extension_bits(frame, term.target) | not_g
+        return ParamRow(system.bel_vector(u), 0.0, np.zeros(len(system.columns)), 1.0,
+                        param, origin)
     # Bel(f|g) = t  <=>  [Bel(u) - Bel(not g)] + t*[Bel(not g) - 1] = 0
     l_coeffs = system.bel_vector(u) - system.bel_vector(not_g)
     return ParamRow(l_coeffs, 0.0, system.bel_vector(not_g), 1.0, param, origin)
+
+
+def refine(system: CompiledSystem, sets) -> CompiledSystem:
+    """The system over the closure of its columns and ``sets``, or the
+    system itself when that adds no column.  Each new column takes the
+    row coefficients of the least old column that contains it, so every
+    row reads as before and ``Bel`` of each added set is exact."""
+    return _rebase(system, _closure(system.columns, sets))
+
+
+def _rebase(system: CompiledSystem, columns: tuple[int, ...]) -> CompiledSystem:
+    """The system over a closed family ``columns`` that holds its own."""
+    if len(columns) == len(system.columns):
+        return system
+    least = _least(system, columns)
+    return replace(
+        system, columns=columns,
+        static_rows=[replace(r, coeffs=r.coeffs[least]) for r in system.static_rows],
+        param_rows=[replace(pr, l_coeffs=pr.l_coeffs[least], r_coeffs=pr.r_coeffs[least])
+                    for pr in system.param_rows])
+
+
+def _least(system: CompiledSystem, columns: tuple[int, ...]) -> np.ndarray:
+    """The index of the least column of the system that contains each of
+    ``columns``."""
+    bits = system.column_bits
+    full = system.frame.full_bits
+    if len(columns) == full:  # every nonempty subset
+        # the intersection of the columns that contain each subset, by one
+        # pass per point over the subsets without it and with it
+        cl = np.full(full + 1, full, dtype=bits.dtype)
+        cl[bits] = bits
+        for x in range(system.frame.theta_size):
+            view = cl.reshape(-1, 2 << x)
+            view[:, :1 << x] &= view[:, 1 << x:]
+        index = np.empty(full + 1, dtype=np.intp)
+        index[bits] = np.arange(len(bits))
+        return index[cl[1:]]
+    new = np.array(columns, dtype=bits.dtype)
+    least = np.empty(len(columns), dtype=np.intp)
+    # the least container lies inside every other one, so of the
+    # containers taken by decreasing size it is the last
+    for i in sorted(range(len(bits)), key=lambda i: -system.columns[i].bit_count()):
+        least[(new & ~system.columns[i]) == 0] = i
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +507,7 @@ def _rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
         lo, hi = cells[pr.param]
         rows.append((pr.l_coeffs + lo * pr.r_coeffs, ">=", pr.l_const + lo * pr.r_const, False))
         rows.append((pr.l_coeffs + hi * pr.r_coeffs, "<=", pr.l_const + hi * pr.r_const, False))
-    rows.append((np.ones(system.mass_dim), "=", 1.0, False))
+    rows.append((np.ones(len(system.columns)), "=", 1.0, False))
     if not system.strict:
         return [(coeffs, op, const) for coeffs, op, const, _ in rows]
     return [(np.append(coeffs, (1.0 if op == "<=" else -1.0) if strict else 0.0), op, const)
@@ -445,7 +516,7 @@ def _rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
 
 def _program(system: CompiledSystem, cells=()) -> LinearProgram:
     """The LP rows of a cell, as one program for every LP over that cell."""
-    return LinearProgram(system.mass_dim + system.strict, _rows(system, cells), zero_vars=(0,))
+    return LinearProgram(len(system.columns) + system.strict, _rows(system, cells))
 
 
 def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
@@ -457,7 +528,7 @@ def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
 def _slack(system: CompiledSystem, point: np.ndarray) -> float:
     """The least slack of the strict rows, guards included, at the mass
     vector of a program's point."""
-    m = point[:system.mass_dim]
+    m = point[:len(system.columns)]
     return min((row.const - row.coeffs @ m if row.relop == "<=" else row.coeffs @ m - row.const
                 for row in system.static_rows if row.strict), default=np.inf)
 
@@ -586,7 +657,14 @@ def feasible(system: CompiledSystem) -> FeasibilityResult:
     if leaf is None:
         return FeasibilityResult(False)
     _, point, _, _ = leaf
-    return FeasibilityResult(True, MassFunction.from_vector(system.frame, point[:system.mass_dim]))
+    return FeasibilityResult(True, _witness(system, point))
+
+
+def _witness(system: CompiledSystem, point: np.ndarray) -> MassFunction:
+    """The mass function of a program's point: each column's mass on the
+    column's set."""
+    return MassFunction.from_vector(system.frame, point[:len(system.columns)],
+                                    subsets=system.columns)
 
 
 def _end_witness(system: CompiledSystem, num: np.ndarray, den: np.ndarray, end: tuple):
@@ -601,7 +679,7 @@ def _end_witness(system: CompiledSystem, num: np.ndarray, den: np.ndarray, end: 
         return point, False
     rows = list(zip(program.row_coeffs, program.relops, program.consts))
     attains = [(num - v * den, ">=", 0.0), (np.append(den[:-1], -1.0), ">=", 0.0)]
-    face = LinearProgram(program.num_vars, rows + attains, zero_vars=program.zero_vars)
+    face = LinearProgram(program.num_vars, rows + attains)
     better = _max_delta(face)
     return (point, True) if better is None else (better, False)
 
@@ -619,11 +697,13 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     ``num`` is 0 wherever ``den`` is, that optimum is attained at a point
     with ``den > 0``.  Each end is reported as the value its witness
     attains, and is open when no point that attains it meets every strict
-    row strictly (see :func:`_end_witness`).
+    row strictly (see :func:`_end_witness`).  The LPs run over the
+    system's basis refined by ``f or not g`` and ``not g``.
     """
     frame = system.frame
     f_bits = extension_bits(frame, query.target)
     not_g = 0 if query.evidence is None else frame.full_bits ^ extension_bits(frame, query.evidence)
+    system = refine(system, (f_bits | not_g, not_g))
     bel_not_g = system.bel_vector(not_g)
     num = _objective(system, system.bel_vector(f_bits | not_g) - bel_not_g)
     den = _objective(system, 1.0 - bel_not_g)  # every row set holds sum(m) = 1
@@ -638,8 +718,7 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
             f"every feasible belief function makes {query.render(system.frame)} undefined")
     hi_point, hi_open = _end_witness(system, num, den, hi_end)
     lo_point, lo_open = _end_witness(system, -num, den, _search(box, -num, key_den))
-    w_hi = MassFunction.from_vector(system.frame, hi_point[:system.mass_dim])
-    w_lo = MassFunction.from_vector(system.frame, lo_point[:system.mass_dim])
+    w_hi, w_lo = _witness(system, hi_point), _witness(system, lo_point)
     hi = min(max(evaluate_term(w_hi, query), 0.0), 1.0)
     lo = min(max(evaluate_term(w_lo, query), 0.0), 1.0)
     lo = min(lo, hi)
@@ -671,16 +750,19 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
     values, an LP optimum or the lower bound a subset took, so rounding
     does not pile up across layers.  The searches share the cells'
     programs, and the first witness is the leaf of the feasibility
-    search, which on a parameter-free system is the point of phase 1."""
+    search, which on a parameter-free system is the point of phase 1.
+    The LPs run over the basis refined to every nonempty subset, whose
+    column ``S`` is at index ``S - 1``."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope covers 2^{n} subsets; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
+    full = system.frame.full_bits
+    system = _rebase(system, tuple(range(1, full + 1)))
     box = _Box(system)
     leaf = _search(box)
     if leaf is None:
         raise InfeasibleSystem("the constraint system is infeasible")
-    full = system.frame.full_bits
-    upper = zeta_transform(leaf[1][:system.mass_dim], n)
+    upper = zeta_transform(np.append(0.0, leaf[1][:full]), n)
     env = np.ones(full + 1)
     env[0] = 0.0
     certified = np.zeros(full + 1)  # 0 until a subset is reached, so a max over it is harmless
@@ -696,7 +778,7 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
                 continue
             value, point, _, _ = _search(box, -_objective(system, system.bel_vector(s)))
             env[s] = certified[s] = -value
-            upper = np.minimum(upper, zeta_transform(point[:system.mass_dim], n))
+            upper = np.minimum(upper, zeta_transform(np.append(0.0, point[:full]), n))
     return np.clip(env, 0.0, 1.0)
 
 

@@ -13,9 +13,9 @@ class FrameMismatch(EngineError):
     """Two values built over different product frames were combined."""
 
 
-class FormulaError(EngineError):
-    """A formula is invalid against its frame (unknown variable or value,
-    boolean shorthand applied to a non-boolean variable)."""
+class TextError(EngineError):
+    """Faulty input text; ``position``, when known, is the 0-based offset
+    of the fault, and the message ends with its 1-based column."""
 
     def __init__(self, message, position=None):
         super().__init__(message)
@@ -26,6 +26,11 @@ class FormulaError(EngineError):
         if self.position is None:
             return base
         return f"{base} (at column {self.position + 1})"
+
+
+class FormulaError(TextError):
+    """A formula is invalid against its frame (unknown variable or value,
+    boolean shorthand applied to a non-boolean variable)."""
 
 
 class FormulaSyntaxError(FormulaError):
@@ -52,12 +57,8 @@ class IterationLimit(SolverError):
     """Pivot budget exhausted before the simplex terminated."""
 
 
-class ConstraintError(EngineError):
+class ConstraintError(TextError):
     """Malformed constraint text."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
 
 
 class CompileError(EngineError):

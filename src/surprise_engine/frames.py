@@ -20,6 +20,9 @@ from .errors import FormulaError, FormulaSyntaxError, FrameMismatch, FrameTooLar
 
 #: Default cap on the number of points of the product space.
 DEFAULT_MAX_THETA = 1 << 16
+#: Cap on the nesting of parentheses, negations and implications in a
+#: formula, which the parser and every walk of a formula tree recurse on.
+MAX_NESTING = 100
 
 BOOLEAN_FRAME = ("Yes", "No")
 
@@ -379,31 +382,42 @@ _BINARY = {"=>": Implies, "or": Or, "and": And}
 
 
 def formula_at(tokens: list[Token], i: int, frame: ProductFrame,
-               min_prec: int = 1) -> tuple[Formula, int]:
+               min_prec: int = 1, depth: int = 0) -> tuple[Formula, int]:
     """The longest formula starting at token ``i`` whose operators bind
     at least as tightly as ``min_prec``, and the index of the token after
-    it (precedence climbing).
+    it (precedence climbing); ``depth`` counts the parentheses, negations
+    and implications it lies within.
 
     Raises :class:`FormulaSyntaxError` and :class:`FormulaError` at the
     offending token's position."""
-    left, i = _operand(tokens, i, frame)
+    left, i = _operand(tokens, i, frame, depth)
     while True:
         node = _BINARY.get(tokens[i][0])
         if node is None or _PRECEDENCE[node] < min_prec:
             return left, i
         # the right operand of '=>' may hold another '=>': right-associative
-        right, i = formula_at(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies))
+        right, i = formula_at(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies),
+                              _nested(tokens[i], depth) if node is Implies else depth)
         left = node(left, right)
 
 
-def _operand(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[Formula, int]:
+def _nested(token: Token, depth: int) -> int:
+    """The depth inside the parenthesis, negation or implication
+    ``token``, which may nest at most ``MAX_NESTING`` deep."""
+    if depth >= MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", token[2])
+    return depth + 1
+
+
+def _operand(tokens: list[Token], i: int, frame: ProductFrame,
+             depth: int) -> tuple[Formula, int]:
     """A negation, a parenthesized formula or an atom at token ``i``."""
     kind, value, pos = tokens[i]
     if kind == "not":
-        child, i = _operand(tokens, i + 1, frame)
+        child, i = _operand(tokens, i + 1, frame, _nested(tokens[i], depth))
         return Not(child), i
     if kind == "(":
-        f, i = formula_at(tokens, i + 1, frame)
+        f, i = formula_at(tokens, i + 1, frame, depth=_nested(tokens[i], depth))
         kind, value, pos = tokens[i]
         if kind != ")":
             raise FormulaSyntaxError(f"expected ')', found {value!r}" if value else "expected ')'", pos)

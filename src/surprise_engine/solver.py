@@ -250,6 +250,10 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
     T = np.hstack([T[:, :width], T[:, -1:]])
     if dropped:
         T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
+    # a basic value rounded just below zero would turn into a large negative
+    # step on a tiny pivot in phase 2: it is zero
+    rhs = T[:, -1]
+    rhs[(rhs < 0.0) & (rhs > -RESIDUAL_TOL)] = 0.0
     return (keep, T, basis), pivots
 
 

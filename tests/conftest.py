@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from surprise_engine import LinearProgram, MassFunction, ProductFrame, constraints
+from surprise_engine.frames import extension_bits
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -21,6 +22,77 @@ def simplex_program(num_vars: int, rows, *, zero_vars=()) -> LinearProgram:
     which the general-form kernel takes as one more row."""
     return LinearProgram(num_vars, list(rows) + [(np.ones(num_vars), "=", 1.0)],
                          zero_vars=zero_vars)
+
+
+def dense_bel(frame: ProductFrame, bits: int) -> np.ndarray:
+    """``Bel`` of a subset over the dense mass vector, indexed by subset
+    bitmask: the indicator of the subset's subsets."""
+    return ((np.arange(1 << frame.theta_size) & ~bits) == 0).astype(float)
+
+
+def dense_rows(cons, frame: ProductFrame, params=()) -> list:
+    """The rows ``(coeffs, relop, const)`` of the closure of each
+    constraint over the dense mass vector, built from its sets alone, then
+    the guards ``Bel(not g) <= 1``.
+
+    A term ``Bel(f | g)`` is ``num/den`` with ``num = Bel(f or not g) -
+    Bel(not g)`` and ``den = 1 - Bel(not g)``, both linear on the simplex
+    (``1`` is ``sum(m)``); an unconditional term has ``den = 1``.  A single
+    term, or a sum of unconditional ones, against ``c`` gives ``sum(coef *
+    num) - c * den relop 0``; an equality of two terms, one conditional,
+    gives ``num - t * den = 0`` for each, with ``t`` the value in ``params``
+    of the k-th such constraint."""
+    full = frame.full_bits
+    ones = np.ones(1 << frame.theta_size)
+    rows, guards, k = [], [], 0
+    for con in cons:
+        terms = []
+        for coef, term in con.terms:
+            f = extension_bits(frame, term.target)
+            not_g = 0 if term.evidence is None else full ^ extension_bits(frame, term.evidence)
+            if term.evidence is not None and not_g not in guards:
+                guards.append(not_g)
+            bel_not_g = dense_bel(frame, not_g)
+            terms.append((coef, dense_bel(frame, f | not_g) - bel_not_g, ones - bel_not_g))
+        if len(terms) == 2 and any(t.evidence is not None for _, t in con.terms):
+            rows += [(num - params[k] * den, "=", 0.0) for _, num, den in terms]
+            k += 1
+            continue
+        relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
+        rows.append((sum(coef * num for coef, num, _ in terms) - con.const * terms[0][2],
+                     relop, 0.0))
+    return rows + [(dense_bel(frame, not_g), "<=", 1.0) for not_g in guards]
+
+
+def dense_program(cons, frame: ProductFrame, params=()) -> LinearProgram:
+    """:func:`dense_rows` on the simplex, with the empty set's mass pinned
+    to zero."""
+    return simplex_program(1 << frame.theta_size, dense_rows(cons, frame, params),
+                           zero_vars=(0,))
+
+
+def least_column(system, bits: int) -> int:
+    """The index of the least column of the system's basis that contains
+    the nonempty subset: the column that carries its mass."""
+    containers = [i for i, c in enumerate(system.columns) if bits & ~c == 0]
+    return min(containers, key=lambda i: system.columns[i].bit_count())
+
+
+def column_masses(system, mass: MassFunction) -> np.ndarray:
+    """A mass function on the columns of the system's basis: each focal
+    set's mass on its least containing column."""
+    out = np.zeros(len(system.columns))
+    for bits, v in mass.focal_bits().items():
+        out[least_column(system, bits)] += v
+    return out
+
+
+def dense_coeffs(system, coeffs: np.ndarray) -> np.ndarray:
+    """Row coefficients over the columns of the system's basis, read on
+    every nonempty subset in bitmask order: the coefficient of its least
+    containing column."""
+    return np.array([coeffs[least_column(system, bits)]
+                     for bits in range(1, system.frame.full_bits + 1)])
 
 
 def counting_solves(monkeypatch) -> list:
@@ -42,6 +114,7 @@ def random_frame(rng: random.Random, max_points: int = 8) -> ProductFrame:
     shapes = {
         2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,)],
         6: [(6,), (2, 3)], 8: [(8,), (2, 4), (2, 2, 2)],
+        9: [(9,), (3, 3)], 10: [(10,), (2, 5)], 11: [(11,)], 12: [(12,), (3, 4), (2, 2, 3)],
     }
     choices = [s for pts, ss in shapes.items() if pts <= max_points for s in ss]
     shape = rng.choice(choices)

@@ -17,7 +17,6 @@ from surprise_engine import (
     build_curve,
     compile_constraints,
     constraint_satisfied,
-    constraints,
     extension,
     feasible,
     leq_committed,
@@ -28,7 +27,7 @@ from surprise_engine import (
 )
 from surprise_engine.cli import bundled_scenario
 from surprise_engine.scenario import load_scenario
-from conftest import random_frame, random_mass, random_subset
+from conftest import column_masses, dense_program, random_frame, random_mass, random_subset
 
 
 def sub(frame, text):
@@ -99,11 +98,11 @@ def test_criterion_2_impossibility_suite():
     for _ in range(20):
         # a vertex of the closure, moved halfway to the strict witness,
         # meets both strict rows strictly
-        objective = np.array([rng.uniform(-1, 1) for _ in range(system4.mass_dim)])
+        objective = np.array([rng.uniform(-1, 1) for _ in range(1 << pac.theta_size)])
         if rng.random() >= 0.5:  # minimize: maximize the negation
             objective = -objective
-        sol = solve(constraints._program(system4), constraints._objective(system4, objective))
-        point = 0.5 * (sol.point[:system4.mass_dim] + res.witness.to_vector())
+        sol = solve(dense_program(set4, pac), objective)
+        point = 0.5 * (sol.point + res.witness.to_vector())
         witnesses.append(MassFunction.from_vector(pac, point))
     for w in witnesses:
         assert not w.is_consonant()
@@ -292,16 +291,16 @@ def test_criterion_5_compiler_oracle_equivalence():
         f = random_subset(frame, rng)
         value = m.condition(g).belief(f)
         text = f"Bel({_point_formula(frame, f)} | {_point_formula(frame, g)})"
-        vec = m.to_vector()
 
         system = compile_constraints([parse_constraint(f"{text} = {value!r}", frame)], frame)
+        vec = column_masses(system, m)
         row = [r for r in system.static_rows if not isinstance(r.origin, str)][0]
         assert abs(float(row.coeffs @ vec) - row.const) <= 1e-7
 
         wrong = value + (0.3 if value <= 0.5 else -0.3)
         system2 = compile_constraints([parse_constraint(f"{text} = {wrong!r}", frame)], frame)
         row2 = [r for r in system2.static_rows if not isinstance(r.origin, str)][0]
-        assert abs(float(row2.coeffs @ vec) - row2.const) > 1e-7
+        assert abs(float(row2.coeffs @ column_masses(system2, m)) - row2.const) > 1e-7
         checked += 1
     report(5, "500 random conditional rows agree with condition()+belief() both ways")
 
@@ -381,10 +380,10 @@ def test_criterion_7_minimum_commitment_dominance():
         if result is None:
             continue
         for _ in range(20):
-            objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
+            objective = np.array([rng.uniform(-1, 1) for _ in range(1 << frame.theta_size)])
             if rng.random() >= 0.5:  # minimize: maximize the negation
                 objective = -objective
-            sol = solve(constraints._program(system), objective)
+            sol = solve(dense_program(cons, frame), objective)
             witness = MassFunction.from_vector(frame, sol.point)
             assert leq_committed(result, witness, tol=1e-6)
         succeeded += 1

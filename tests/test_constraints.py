@@ -41,7 +41,18 @@ from surprise_engine import (
 )
 from surprise_engine.errors import ConditioningUndefined, ScenarioError
 from surprise_engine.scenario import parse_query_term
-from conftest import counting_solves, random_frame, random_mass, random_subset, subset_formula
+from conftest import (
+    column_masses,
+    counting_solves,
+    dense_bel,
+    dense_coeffs,
+    dense_program,
+    dense_rows,
+    random_frame,
+    random_mass,
+    random_subset,
+    subset_formula,
+)
 from test_frames import _FRAME, formulas
 
 
@@ -264,25 +275,30 @@ class TestCompile:
         system = compile_constraints([con], hire_frame)
         assert len(system.static_rows) == 1 and not system.param_rows
         row = system.static_rows[0]
+        # the basis: the closure of {No} and the frame
+        assert system.columns == (0b10, 0b11)
         # Bel(not HIRE) sums masses of subsets of {No}: index 0b10
         expected = np.zeros(4)
         expected[0] = expected[2] = 1.0
-        assert np.array_equal(row.coeffs, expected)
+        assert np.array_equal(row.coeffs, expected[list(system.columns)])
         assert row.relop == "=" and row.const == 0.3
 
     def test_bel_vector_indicates_the_subsets(self):
-        # reference: walk the sub-bitmasks of each subset one by one
+        # reference: walk the sub-bitmasks of each subset one by one, over
+        # the basis refined to every nonempty subset
         frame = ProductFrame([("A", ("a", "b", "c")), ("B", ("Yes", "No"))])
-        system = compile_constraints([], frame)
+        system = constraints.refine(compile_constraints([], frame),
+                                    range(1, frame.full_bits + 1))
+        assert system.columns == tuple(range(1, frame.full_bits + 1))
         for bits in range(frame.full_bits + 1):
-            expected = np.zeros(system.mass_dim)
+            expected = np.zeros(frame.full_bits + 1)
             sub = bits
             while True:
                 expected[sub] = 1.0
                 if sub == 0:
                     break
                 sub = (sub - 1) & bits
-            assert np.array_equal(system.bel_vector(bits), expected)
+            assert np.array_equal(system.bel_vector(bits), expected[1:])
 
     def test_conditional_cleared_row_matches_oracle(self, rng):
         # Row satisfaction must coincide with condition()+belief() values.
@@ -296,7 +312,7 @@ class TestCompile:
                 continue
             con = parse_constraint(f"Bel(M | P) = {c!r}", frame)
             system = compile_constraints([con], frame)
-            vec = m.to_vector()
+            vec = column_masses(system, m)
             row = system.static_rows[0]
             assert abs(float(row.coeffs @ vec) - row.const) <= 1e-9
 
@@ -328,7 +344,7 @@ class TestCompile:
         # Bel(not P) < 1, kept exact: the constant is 1 and the row is strict
         assert guards[0].relop == "<=" and guards[0].const == 1.0 and guards[0].strict
         program = constraints._program(system)
-        assert program.num_vars == system.mass_dim + 1
+        assert program.num_vars == len(system.columns) + 1
         assert program.row_coeffs[-2, -1] == 1.0  # the guard's slack column
 
     def test_strict_rows_get_slack(self, hire_frame):
@@ -338,13 +354,13 @@ class TestCompile:
         assert row.relop == ">=" and row.const == 0.0 and row.strict
         # one shared column delta: Bel(HIRE) - delta >= 0, and 0 on the mass row
         program = constraints._program(system)
-        assert program.num_vars == system.mass_dim + 1
+        assert program.num_vars == len(system.columns) + 1
         assert list(program.row_coeffs[:, -1]) == [-1.0, 0.0]
         assert list(program.relops) == [">=", "="]
         # a system without strict rows or guards gets no slack column
         plain = compile_constraints([parse_constraint("Bel(HIRE) >= 0.5", hire_frame)],
                                     hire_frame)
-        assert constraints._program(plain).num_vars == plain.mass_dim
+        assert constraints._program(plain).num_vars == len(plain.columns)
 
     def test_theta_cap(self):
         frame = ProductFrame([(f"V{i}", ("Yes", "No")) for i in range(13)])
@@ -633,18 +649,85 @@ class TestBounds:
         assert compared >= 140
 
 
+    def test_column_basis_matches_a_dense_highs_lp_up_to_twelve_points(self, monkeypatch):
+        """On random parameter-free systems on frames of up to 12 points,
+        conditional rows and queries included, each end equals the optimum
+        of the Charnes-Cooper LP over the dense mass vector, solved by an
+        independent LP solver; and no program is wider than the basis
+        refined by the query's sets, plus the slack column."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(12)
+        solves = counting_solves(monkeypatch)
+        compared = 0
+        for _ in range(30):
+            frame = random_frame(rng, max_points=12)
+            anchor = random_mass(frame, rng, max_focals=6)
+            cons = []
+            for _ in range(rng.randint(1, 6)):
+                s = random_subset(frame, rng)
+                g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.4 else None
+                try:
+                    value = (anchor if g is None else anchor.condition(g)).belief(s)
+                except EngineError:
+                    continue
+                given = "" if g is None else f" | {subset_formula(frame, g)}"
+                cons.append(parse_constraint(
+                    f"Bel({subset_formula(frame, s)}{given}) {rng.choice(['=', '<=', '>='])} "
+                    f"{value!r}", frame))
+            system = compile_constraints(cons, frame)
+            f = random_subset(frame, rng)
+            g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.5 else None
+            q = BelTerm(parse_formula(subset_formula(frame, f), frame),
+                        None if g is None else parse_formula(subset_formula(frame, g), frame))
+            not_g = 0 if g is None else frame.full_bits ^ g.bits
+            width = len(constraints.refine(system, (f.bits | not_g, not_g)).columns)
+            assert width < 1 << frame.theta_size
+            solves.clear()
+            res = bounds(system, q)
+            assert all(lp.num_vars <= width + 1 for lp in solves)
+            theirs = [_charnes_cooper(linprog, system, f.bits, g, maximize)
+                      for maximize in (False, True)]
+            assert res.lo == pytest.approx(theirs[0], abs=1e-9)
+            assert res.hi == pytest.approx(theirs[1], abs=1e-9)
+            compared += 1
+        assert compared == 30
+
+    def test_two_parameters_near_the_box_corner(self):
+        """Both parameters' feasible values reach 1, where the search
+        splits cells down to its width limit and phase 1 can round a basic
+        value just below zero.  Both ends lie within the range of LPs with
+        the parameters fixed on a grid, solved by an independent solver."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        frame = ProductFrame([("V0", ("Yes", "No")), ("V1", ("Yes", "No"))])
+        system = compile_constraints([parse_constraint(t, frame) for t in (
+            "Bel(V0 or V1) = Bel(V0 and V1 | V0 and V1 or not V0 and not V1)",
+            "Bel(not V0) = Bel(V0 and V1 or not V0 | V0 or not V0)")], frame)
+        assert system.num_params == 2
+        q = term(frame, "not V0 and V1")
+        res = bounds(system, q)
+        f_bits = extension(frame, q.target).bits
+        grid = np.linspace(0.0, 1.0, 21)
+        sweep = [[_charnes_cooper(linprog, system, f_bits, None, maximize, params=(t0, t1))
+                  for t0 in grid for t1 in grid] for maximize in (False, True)]
+        lo = min(v for v in sweep[0] if v is not None)
+        hi = max(v for v in sweep[1] if v is not None)
+        assert (lo, hi) == (pytest.approx(0.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
+        assert res.lo == pytest.approx(lo, abs=1e-6)
+        assert res.hi == pytest.approx(hi, abs=1e-6)
+
+
 def _charnes_cooper(linprog, system, f_bits, evidence, maximize, params=()):
     """Optimum of Bel(f | g) = num(m) / den(m) over the closure of the
     system's rows, with each parameter fixed at its value in ``params``,
     as one LP in y = t*m and t = 1/den(m)."""
-    not_g = 0 if evidence is None else system.frame.full_bits ^ evidence.bits
-    bel_not_g = system.bel_vector(not_g)
-    num = system.bel_vector(f_bits | not_g) - bel_not_g
-    rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
-    rows += [(pr.l_coeffs + params[pr.param] * pr.r_coeffs, "=",
-              pr.l_const + params[pr.param] * pr.r_const) for pr in system.param_rows]
+    frame = system.frame
+    not_g = 0 if evidence is None else frame.full_bits ^ evidence.bits
+    bel_not_g = dense_bel(frame, not_g)
+    num = dense_bel(frame, f_bits | not_g) - bel_not_g
+    rows = dense_rows(system.constraints, frame, params)
+    width = 1 << frame.theta_size
     a_ub, b_ub = [], []
-    a_eq = [np.append(np.ones(system.mass_dim), -1.0), np.append(1.0 - bel_not_g, 0.0)]
+    a_eq = [np.append(np.ones(width), -1.0), np.append(1.0 - bel_not_g, 0.0)]
     b_eq = [0.0, 1.0]
     for coeffs, op, const in rows:
         homogeneous = np.append(coeffs, -const)
@@ -658,7 +741,7 @@ def _charnes_cooper(linprog, system, f_bits, evidence, maximize, params=()):
     out = linprog(-objective if maximize else objective,
                   A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
                   A_eq=np.array(a_eq), b_eq=b_eq,
-                  bounds=[(0, 0)] + [(0, None)] * system.mass_dim, method="highs")
+                  bounds=[(0, 0)] + [(0, None)] * width, method="highs")
     if out.status != 0:
         return None
     return -out.fun if maximize else out.fun
@@ -683,14 +766,18 @@ class TestSubsystem:
             assert ours.num_params == theirs.num_params
             assert ours.strict == theirs.strict
             assert len(ours.static_rows) == len(theirs.static_rows)
+            # the subsystem keeps its parent's basis: compare rows on every subset
+            assert ours.columns == system.columns
             for a, b in zip(ours.static_rows, theirs.static_rows):
                 assert (a.relop, a.const, a.strict, a.origin) == (b.relop, b.const, b.strict, b.origin)
-                assert np.array_equal(a.coeffs, b.coeffs)
+                assert np.array_equal(dense_coeffs(ours, a.coeffs), dense_coeffs(theirs, b.coeffs))
             assert len(ours.param_rows) == len(theirs.param_rows)
             for a, b in zip(ours.param_rows, theirs.param_rows):
                 assert (a.l_const, a.r_const, a.param, a.origin) == (b.l_const, b.r_const, b.param, b.origin)
-                assert np.array_equal(a.l_coeffs, b.l_coeffs)
-                assert np.array_equal(a.r_coeffs, b.r_coeffs)
+                assert np.array_equal(dense_coeffs(ours, a.l_coeffs),
+                                      dense_coeffs(theirs, b.l_coeffs))
+                assert np.array_equal(dense_coeffs(ours, a.r_coeffs),
+                                      dense_coeffs(theirs, b.r_coeffs))
 
 
 class TestCompilerOracleEquivalence:
@@ -712,7 +799,7 @@ class TestCompilerOracleEquivalence:
                 f"Bel({subset_formula(frame, f)} | {subset_formula(frame, g)}) = {value!r}",
                 frame)
             system = compile_constraints([con], frame)
-            vec = m.to_vector()
+            vec = column_masses(system, m)
             row = [r for r in system.static_rows if not isinstance(r.origin, str)][0]
             assert abs(float(row.coeffs @ vec) - row.const) <= 1e-7
             agree += 1
@@ -723,7 +810,7 @@ class TestCompilerOracleEquivalence:
                 frame)
             system2 = compile_constraints([con2], frame)
             row2 = [r for r in system2.static_rows if not isinstance(r.origin, str)][0]
-            assert abs(float(row2.coeffs @ vec) - row2.const) > 1e-7
+            assert abs(float(row2.coeffs @ column_masses(system2, m)) - row2.const) > 1e-7
             violate += 1
 
 
@@ -811,10 +898,12 @@ class TestMincommit:
 
 
 def _random_feasible_witness(system, rng):
-    objective = np.array([rng.uniform(-1, 1) for _ in range(system.mass_dim)])
+    """A vertex of the closure of a parameter-free system over the dense
+    mass vector."""
+    objective = np.array([rng.uniform(-1, 1) for _ in range(1 << system.frame.theta_size)])
     if rng.random() >= 0.5:  # minimize: maximize the negation
         objective = -objective
-    res = solve(constraints._program(system), objective)
+    res = solve(dense_program(system.constraints, system.frame), objective)
     return MassFunction.from_vector(system.frame, res.point)
 
 

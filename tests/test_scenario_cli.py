@@ -231,6 +231,56 @@ class TestCli:
         assert done.returncode == EXIT_USAGE
         assert done.stderr == "error: constraint set needs more than 2 parameters\n"
 
+    def test_constraint_error_names_its_column(self, capsys):
+        assert main(["bounds", str(bundled_scenario("hire.bel")), "Bel(HIRE"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expected ')' to close Bel(...) (at column 9)\n"
+
+    @pytest.mark.parametrize("command, args", [
+        ("bounds", ["Bel(" + "(" * 2000 + "HIRE" + ")" * 2000 + ")"]),
+        ("surprise", ["(" * 2000 + "HIRE" + ")" * 2000]),
+        ("surprise", ["not " * 2000 + "HIRE"]),
+        ("surprise", [" => ".join(["HIRE"] * 2000)]),
+    ])
+    def test_deep_nesting_is_a_usage_error(self, capsys, command, args):
+        assert main([command, str(bundled_scenario("hire.bel")), *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nests more than 100 deep" in err
+        assert err.count("\n") == 1
+        # the parenthesis, negation or implication past the cap
+        column = {"bounds": 4 + 100, "(": 100, "n": 4 * 100, "H": 5 + 8 * 100}
+        key = command if command == "bounds" else args[0][0]
+        assert err.endswith(f"(at column {column[key] + 1})\n")
+
+    def test_thirty_two_points_answer_without_the_subset_lattice(self, tmp_path):
+        """Five booleans, 32 points, under ``max_theta = 32``: ``check``,
+        ``bounds`` and ``surprise`` answer over the column basis, and
+        ``mincommit``, which needs every subset, refuses at its cap.  Each
+        command runs in a process whose address space is capped at 2 GiB,
+        so a mass vector 2^32 entries wide fails at once."""
+        path = tmp_path / "five.bel"
+        path.write_text(FIVE_BOOLEANS)
+        env = dict(os.environ, PYTHONPATH=str(Path(surprise_engine.__file__).parents[1]))
+
+        def run(command, *args):
+            return subprocess.run(
+                [sys.executable, "-c", "import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from surprise_engine.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))", command, str(path), *args],
+                capture_output=True, text=True, env=env, timeout=120)
+
+        done = run("check")
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "CHECK feasible\n", "")
+        done = run("bounds")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == "QUERY c = [0, 1)\nQUERY e_given_a = [0, 1]\n"
+        done = run("surprise", "not C", "--given", "A")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == "QUERY surprise(not C | A) = [0, 1)\n"
+        done = run("mincommit")
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr == "error: lower envelope covers 2^32 subsets; cap is theta_size <= 12\n"
+
     def test_output_is_stable(self, capsys):
         main(["bounds", str(bundled_scenario("window.bel"))])
         first = capsys.readouterr().out
@@ -324,6 +374,30 @@ def test_window_envelope_answers_most_subsets_without_an_lp(monkeypatch):
     env = constraints.lower_envelope(system)
     assert len(solves) < 2 ** 4 - 1
     assert env.tolist() == pytest.approx([0.0] * 7 + [0.6] + [0.0] * 7 + [1.0], abs=1e-9)
+
+
+FIVE_BOOLEANS = """
+[config]
+max_theta = 32
+
+[variables]
+A: Yes, No
+B: Yes, No
+C: Yes, No
+D: Yes, No
+E: Yes, No
+
+[constraints]
+Bel(A) >= 0.3
+Bel(A => B) >= 0.6
+Bel(C | A and B) = 0.7
+Bel(not D or E) <= 0.8
+Bel(E) = Bel(E | C)
+
+[queries]
+c: Bel(C)
+e_given_a: Bel(E | A)
+"""
 
 
 TAUTOLOGY_BELOW_ONE = ("[variables]\nV0: v0, v1, v2\n\n[constraints]\n"
@@ -519,6 +593,33 @@ class TestRepl:
         assert all(reply.startswith("ERROR ") and reply.count("\n") == 1
                    for reply in replies[1:len(commands) + 1])
         assert replies[len(commands) + 1] == ""
+        assert code == 0
+
+    def test_save_to_an_unwritable_path_keeps_the_session(self):
+        code, out = _run_repl(RAIN_SCENARIO, [
+            "assume Bel(RAIN) >= 0.25",
+            "save /nonexistent/dir/x.bel",
+            "list",
+            "quit",
+        ])
+        replies = _replies(out)
+        assert replies[2] == "ERROR cannot write /nonexistent/dir/x.bel: No such file or directory\n"
+        assert replies[3] == "1: Bel(RAIN) >= 0.25\n"
+        assert code == 0
+
+    def test_deep_nesting_is_an_error_line(self):
+        code, out = _run_repl(RAIN_SCENARIO, [
+            "assume Bel(" + "(" * 2000 + "RAIN" + ")" * 2000 + ") >= 0.25",
+            "bounds Bel(" + "not " * 2000 + "RAIN)",
+            "list",
+            "quit",
+        ])
+        replies = _replies(out)
+        assert replies[1] == ("ERROR inside Bel(...): formula nests more than 100 deep "
+                              "(at column 105)\n")
+        assert replies[2] == ("ERROR inside Bel(...): formula nests more than 100 deep "
+                              "(at column 405)\n")
+        assert replies[3] == ""
         assert code == 0
 
     def test_assume_that_does_not_compile_changes_nothing(self):

@@ -12,13 +12,20 @@ from surprise_engine import (
     IterationLimit,
     LinearProgram,
     SolverError,
-    compile_constraints,
     parse_constraint,
     solve,
     solver,
 )
 from surprise_engine.solver import FEASIBLE, INFEASIBLE, OPTIMAL
-from conftest import random_frame, random_mass, random_subset, simplex_program, subset_formula
+from conftest import (
+    dense_bel,
+    dense_rows,
+    random_frame,
+    random_mass,
+    random_subset,
+    simplex_program,
+    subset_formula,
+)
 
 
 def test_segment_optimum():
@@ -380,8 +387,8 @@ def _marginal(linprog, num_vars, rows):
 
 def test_agrees_with_highs_on_compiled_systems():
     """Differential check against an independent LP solver, over the
-    closure of each compiled system (its rows without the slack column of
-    strict rows and guards).  The two may disagree on feasibility only
+    closure of each random constraint set's rows on the dense mass vector
+    (strict rows read as non-strict, guards included).  The two may disagree on feasibility only
     where a row is missed by less than 1e-6, inside HiGHS's own tolerance.
     A numerical failure must raise, and only on such a marginal system."""
     linprog = pytest.importorskip("scipy.optimize").linprog
@@ -404,18 +411,18 @@ def test_agrees_with_highs_on_compiled_systems():
             op = rng.choice(["=", "<=", ">=", "<", ">"])
             cons.append(parse_constraint(
                 f"Bel({subset_formula(frame, s)}{given}) {op} {value!r}", frame))
-        system = compile_constraints(cons, frame)
-        rows = [(r.coeffs, r.relop, r.const) for r in system.static_rows]
-        objective = system.bel_vector(random_subset(frame, rng).bits)
+        width = 1 << frame.theta_size
+        rows = dense_rows(cons, frame)
+        objective = dense_bel(frame, random_subset(frame, rng).bits)
         for maximize in (True, False):
             try:
-                ours = solve(simplex_program(system.mass_dim, rows, zero_vars=(0,)),
+                ours = solve(simplex_program(width, rows, zero_vars=(0,)),
                              objective if maximize else -objective)
             except SolverError:
-                assert _marginal(linprog, system.mass_dim, rows)
+                assert _marginal(linprog, width, rows)
                 margin_only += 1
                 continue
-            theirs = _highs(linprog, system.mass_dim, rows, objective, maximize)
+            theirs = _highs(linprog, width, rows, objective, maximize)
             if ours.status == OPTIMAL and theirs.status == 0:
                 value = ours.value if maximize else -ours.value
                 assert value == pytest.approx(-theirs.fun if maximize else theirs.fun, abs=1e-6)
