@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -110,6 +110,9 @@ def run_bounds(scenario: Scenario, query_text: str | None) -> tuple[list[QueryRe
         queries = [(query_text.strip(), parse_query_term(query_text, scenario.frame))]
     else:
         queries = scenario.queries
+    # refined by every query at once, so that the queries share one box
+    system = cons.refine(system, [bits for _, term in queries
+                                  for bits in cons.query_sets(scenario.frame, term)])
     out = []
     code = EXIT_OK
     for name, term in queries:
@@ -207,7 +210,12 @@ class Repl:
     that system's conflict ``core`` (``[]`` iff it is feasible), and the
     tracked ``queries``: each query's text maps to its term and its last
     bounds.  The constraints are compiled at the start and by ``assume``,
-    which changes nothing when its constraint does not compile.
+    which lowers only its own constraint onto the kept system
+    (:func:`~surprise_engine.constraints.extend`) and changes nothing when
+    that constraint does not compile; ``retract`` cuts its system out of
+    the kept one.  The system's basis stays refined by the sets of every
+    tracked query, so the check and each query's bounds after an
+    ``assume`` or ``retract`` share one box: one root phase 1.
     """
 
     system: cons.CompiledSystem
@@ -279,8 +287,8 @@ class Repl:
             self.say("ERROR assume needs a constraint")
             return
         con = cons.parse_constraint(text, self.scenario.frame, self.scenario.config.constants)
-        # the scenario with the constraint added, compiled under its config
-        self._check(replace(self.scenario, constraints=[*self.scenario.constraints, con]).system())
+        self._check(cons.extend(self.system, [con],
+                                max_parameters=self.scenario.config.max_parameters))
         self.scenario.constraints.append(con)
         if self.core:
             self._say_status()
@@ -320,11 +328,13 @@ class Repl:
             return
         term = parse_query_term(text, self.scenario.frame)
         key = text.strip()
+        system = cons.refine(self.system, cons.query_sets(self.scenario.frame, term))
         try:
-            res = cons.bounds(self.system, term)
+            res = cons.bounds(system, term)
         except QueryUndefinedEverywhere as exc:
             self.say(f"UNDEFINED {exc}")
             return
+        self.system = system  # the query is tracked: keep its sets in the basis
         self.queries[key] = (term, (res.lo, res.hi))
         for line in _interval_result(key, res).text_lines():
             self.say(line)

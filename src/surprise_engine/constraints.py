@@ -15,7 +15,10 @@ lies inside a named set iff the least column containing it does, so
 moving each focal set's mass onto that column changes no row, and a
 point of the columns is itself a mass function (Fagin & Halpern 1991).
 ``bounds`` refines the basis by its query's sets and the lower envelope
-by every subset; a finer basis is just as exact.
+by every subset; a finer basis is just as exact.  :func:`extend` lowers
+only the constraints it adds onto a compiled system, whose basis their
+sets refine; :func:`compile_constraints` is ``extend`` of the system
+with no constraint.
 
 Unconditional terms are linear in the columns directly.  A single
 conditional term against constants is cleared of its denominator through
@@ -34,11 +37,14 @@ One branch-and-prune routine searches the box of parameter values,
 tightened first at the root; each cell relaxes the parameterized rows to
 interval rows, and a parameter-free system is the zero-dimensional box.
 Feasibility searches depth-first; each end of bounds gets a best-first
-search keyed by the cells' relaxed optima.  A query is a quotient of two
-linear functions of the columns, optimized over a cell by
-Dinkelbach's method.  The lower envelope walks the subsets by size and
-runs a best-first search only for a subset whose value the witnesses
-found so far and its own subsets' values leave open.
+search keyed by the cells' relaxed optima.  A compiled system keeps its
+box, with the root relaxation's phase-1 tableau and every probed cell,
+from the first call that searches it, so ``feasible``, ``bounds``,
+``conflict_core`` and ``lower_envelope`` on one system share one phase 1
+per cell.  A query is a quotient of two linear functions of the columns,
+optimized over a cell by Dinkelbach's method.  The lower envelope walks
+the subsets by size and runs a best-first search only for a subset whose
+value the witnesses found so far and its own subsets' values leave open.
 
 An infeasible system is explained by an irreducible conflicting subset
 of its constraints, found by a deletion filter.  Each deletion test cuts
@@ -53,7 +59,7 @@ with parameters or without.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
 from math import fsum
@@ -264,7 +270,14 @@ class CompiledSystem:
     mentioned set iff its closure does, so each row reads the same on a
     mass function and on its columns, and a point of the columns is
     itself a mass function focused on them.  A finer basis (see
-    :func:`refine`) is just as exact."""
+    :func:`refine`) is just as exact.
+
+    ``box`` is the parameter box that every call on the system searches,
+    built by the first and kept for the rest (see :func:`_box`).  Calls
+    that should share it must land on the same object: ``subsystem`` of
+    every constraint and ``refine`` by sets already in the basis return
+    the system itself.  Nothing else is cached, and nothing outlives the
+    system."""
 
     frame: ProductFrame
     constraints: tuple[Constraint, ...]
@@ -275,6 +288,8 @@ class CompiledSystem:
     # per constraint, the guard bits ``not g`` of each evidence ``g`` it
     # conditions on, in term order
     conditions: tuple[tuple[int, ...], ...] = ()
+    # the parameter box every call on this system shares (see _box)
+    box: _Box | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def strict(self) -> bool:
@@ -307,7 +322,8 @@ def _closure(columns: Sequence[int], sets) -> tuple[int, ...]:
 def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, *,
                         max_theta: int = DEFAULT_COMPILE_MAX_THETA,
                         max_parameters: int = DEFAULT_MAX_PARAMETERS) -> CompiledSystem:
-    """Lower constraints to rows over their column basis.
+    """Lower constraints to rows over their column basis: :func:`extend`
+    of the system with no constraint, whose one column is the frame.
 
     Raises :class:`FrameTooLarge` over the cap and :class:`CompileError`
     for relations outside the supported linear forms or needing more than
@@ -315,11 +331,26 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
     """
     if frame.theta_size > max_theta:
         raise FrameTooLarge(f"frame has {frame.theta_size} points; compile cap is {max_theta}")
+    empty = CompiledSystem(frame, (), (frame.full_bits,), [], [], 0)
+    return extend(empty, constraints, max_parameters=max_parameters)
+
+
+def extend(system: CompiledSystem, constraints: Sequence[Constraint], *,
+           max_parameters: int = DEFAULT_MAX_PARAMETERS) -> CompiledSystem:
+    """The system with ``constraints`` added after its own, the inverse of
+    :func:`subsystem`: only the new constraints are lowered.  Their sets
+    refine the basis (see :func:`refine`), their rows follow the system's
+    and the guards of the whole set come last, so extending a compiled
+    set gives the rows that compiling the longer set gives, over the same
+    columns when the system's basis is that of its own constraints.
+
+    Raises :class:`CompileError` as :func:`compile_constraints` does."""
+    frame = system.frame
     # each term as (coef, extension of its target or, for a conditional,
     # of ``f or not g``, and ``not g`` or None), and each constraint's
     # parameter or None
     forms = []
-    num_params = 0
+    num_params = system.num_params
     for con in constraints:
         terms = []
         for coef, term in con.terms:
@@ -346,13 +377,17 @@ def compile_constraints(constraints: Sequence[Constraint], frame: ProductFrame, 
             param = num_params - 1
         forms.append((terms, param))
 
-    mentioned = {bits for terms, _ in forms for _, u, not_g in terms for bits in (u, not_g)
-                 if bits is not None}
+    columns = _closure(system.columns, {bits for terms, _ in forms for _, u, not_g in terms
+                                        for bits in (u, not_g) if bits is not None})
+    # a system with no constraint has no rows to carry onto the new basis
+    base = _rebase(system, columns) if system.constraints else system
     conditions = tuple(tuple(not_g for _, _, not_g in terms if not_g is not None)
                        for terms, _ in forms)
-    system = CompiledSystem(frame, tuple(constraints), _closure((frame.full_bits,), mentioned),
-                            [], [], num_params, conditions)
-    for idx, (con, (terms, param)) in enumerate(zip(constraints, forms)):
+    system = CompiledSystem(frame, base.constraints + tuple(constraints), columns,
+                            [r for r in base.static_rows if not isinstance(r.origin, str)],
+                            list(base.param_rows), num_params, base.conditions + conditions)
+    for idx, (con, (terms, param)) in enumerate(zip(constraints, forms),
+                                                start=len(base.constraints)):
         if param is not None:
             for _, u, not_g in terms:
                 system.param_rows.append(_param_row(system, u, not_g, param, idx))
@@ -399,7 +434,10 @@ def subsystem(system: CompiledSystem, keep: Sequence[int]) -> CompiledSystem:
     The static and parameterized rows of the kept constraints stay, each
     owned by its constraint's new number, and the parameters are numbered
     again in order.  A guard stays iff a kept constraint conditions on its
-    evidence, owned by the first of them."""
+    evidence, owned by the first of them.  Keeping every constraint in
+    order gives the system itself, and with it the box its calls share."""
+    if list(keep) == list(range(len(system.constraints))):
+        return system
     new = {old: idx for idx, old in enumerate(keep)}
     sub = CompiledSystem(system.frame, tuple(system.constraints[i] for i in keep),
                          system.columns, [], [], 0, tuple(system.conditions[i] for i in keep))
@@ -542,10 +580,12 @@ def _max_delta(program: LinearProgram):
 
 class _Box:
     """The parameter box of a system, with its cells' programs probed once
-    for every search of one call; a parameter-free system has one cell.
-    The program of the root relaxation, the cell [0, 1]^k, is kept as
-    ``relaxation``: on an infeasible one, its Farkas certificate names a
-    conflicting subset of the constraints.
+    for every search of every call on the system; a parameter-free system
+    has one cell.  The program of the root relaxation, the cell [0, 1]^k,
+    is kept as ``relaxation``: its phase 1 runs once for the system, and on
+    an infeasible one its Farkas certificate names a conflicting subset of
+    the constraints.  The box holds no reference to its system, which
+    holds the box; each call passes the system in.
 
     The root is tightened first (optimization-based bound tightening,
     Belotti et al. 2009): wherever the root relaxation holds, a row ``L +
@@ -554,11 +594,11 @@ class _Box:
     empty by rounding collapses to its midpoint, whose phase 1 decides."""
 
     def __init__(self, system: CompiledSystem):
-        self.system = system
         self.probed: dict[tuple, tuple | None] = {}
+        self.limit = _PROBE_CAP  # probing past this many cells raises
         root = tuple((0.0, 1.0) for _ in range(system.num_params))
         self.relaxation = _program(system, root)
-        found = self.cell(root, self.relaxation)
+        found = self.cell(system, root, self.relaxation)
         if root and found is not None:
             program, point = found
             lo, hi = [0.0] * len(root), [1.0] * len(root)
@@ -570,21 +610,32 @@ class _Box:
             root = tuple((a, b) if a <= b else (0.5 * (a + b),) * 2 for a, b in zip(lo, hi))
         self.root = root
 
-    def cell(self, cells: tuple, program: LinearProgram | None = None):
-        """The program of a cell and a point of it with ``delta > 0``, or
-        ``None`` when the cell is not strictly feasible."""
+    def cell(self, system: CompiledSystem, cells: tuple, program: LinearProgram | None = None):
+        """The program of a cell of the system's box and a point of it with
+        ``delta > 0``, or ``None`` when the cell is not strictly feasible."""
         if cells not in self.probed:
-            if len(self.probed) >= _PROBE_CAP:
+            if len(self.probed) >= self.limit:
                 raise CompileError("parameter search exceeded its probe budget")
             if program is None:
-                program = _program(self.system, cells)
+                program = _program(system, cells)
             res = solve(program)
             point = None if res.status == INFEASIBLE else res.point
             # the point in hand shows delta > 0 when every strict row has slack there
-            if point is not None and _slack(self.system, point) <= ZERO_TOL:
+            if point is not None and _slack(system, point) <= ZERO_TOL:
                 point = _max_delta(program)
             self.probed[cells] = None if point is None else (program, point)
         return self.probed[cells]
+
+
+def _box(system: CompiledSystem) -> _Box:
+    """The system's box, built on the first call that needs it and kept on
+    the system for every later one.  Each call may probe up to
+    ``_PROBE_CAP`` cells that no earlier call probed."""
+    if system.box is None:
+        system.box = _Box(system)
+    else:
+        system.box.limit = len(system.box.probed) + _PROBE_CAP
+    return system.box
 
 
 def _relaxed_max(program: LinearProgram, point: np.ndarray, num: np.ndarray, den):
@@ -612,9 +663,9 @@ def _relaxed_max(program: LinearProgram, point: np.ndarray, num: np.ndarray, den
         point = res.point
 
 
-def _search(box: _Box, num: np.ndarray | None = None, den=None):
+def _search(system: CompiledSystem, box: _Box, num: np.ndarray | None = None, den=None):
     """Best-first branch-and-prune for the largest ``num/den`` (see
-    :func:`_relaxed_max`) over the leaves of the box, its strictly
+    :func:`_relaxed_max`) over the leaves of the system's box, its strictly
     feasible cells no wider than ``_MIN_CELL_WIDTH``; without ``num``, a
     depth-first search, lower halves first, for the first leaf.  Cells
     that are not strictly feasible, or where ``den`` is 0, are dropped:
@@ -627,7 +678,7 @@ def _search(box: _Box, num: np.ndarray | None = None, den=None):
     while heap:
         key, rank, cells, found = heapq.heappop(heap)
         if found is None:
-            cell = box.cell(cells)
+            cell = box.cell(system, cells)
             if cell is None:
                 continue
             best = (0.0, cell[1]) if num is None else _relaxed_max(*cell, num, den)
@@ -653,7 +704,7 @@ def feasible(system: CompiledSystem) -> FeasibilityResult:
     """Is any belief function consistent with the system?  Returns a
     witness mass function, which meets every strict row strictly, when
     so."""
-    leaf = _search(_Box(system))
+    leaf = _search(system, _box(system))
     if leaf is None:
         return FeasibilityResult(False)
     _, point, _, _ = leaf
@@ -698,31 +749,42 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     with ``den > 0``.  Each end is reported as the value its witness
     attains, and is open when no point that attains it meets every strict
     row strictly (see :func:`_end_witness`).  The LPs run over the
-    system's basis refined by ``f or not g`` and ``not g``.
+    system's basis refined by the :func:`query_sets`; when that adds no
+    column, they share the system's box with its other calls.
     """
-    frame = system.frame
-    f_bits = extension_bits(frame, query.target)
-    not_g = 0 if query.evidence is None else frame.full_bits ^ extension_bits(frame, query.evidence)
-    system = refine(system, (f_bits | not_g, not_g))
+    u, not_g = query_sets(system.frame, query)
+    system = refine(system, (u, not_g))
     bel_not_g = system.bel_vector(not_g)
-    num = _objective(system, system.bel_vector(f_bits | not_g) - bel_not_g)
+    num = _objective(system, system.bel_vector(u) - bel_not_g)
     den = _objective(system, 1.0 - bel_not_g)  # every row set holds sum(m) = 1
     key_den = den if not_g else None  # with no evidence, den is the constant 1
 
-    box = _Box(system)
-    hi_end = _search(box, num, key_den)
+    box = _box(system)
+    hi_end = _search(system, box, num, key_den)
     if hi_end is None:
-        if _search(box) is None:
+        if _search(system, box) is None:
             raise InfeasibleSystem("the constraint system is infeasible")
         raise QueryUndefinedEverywhere(
             f"every feasible belief function makes {query.render(system.frame)} undefined")
     hi_point, hi_open = _end_witness(system, num, den, hi_end)
-    lo_point, lo_open = _end_witness(system, -num, den, _search(box, -num, key_den))
+    lo_point, lo_open = _end_witness(system, -num, den, _search(system, box, -num, key_den))
     w_hi, w_lo = _witness(system, hi_point), _witness(system, lo_point)
     hi = min(max(evaluate_term(w_hi, query), 0.0), 1.0)
     lo = min(max(evaluate_term(w_lo, query), 0.0), 1.0)
     lo = min(lo, hi)
     return BoundsResult(lo, hi, lo_open, hi_open, w_lo, w_hi)
+
+
+def query_sets(frame: ProductFrame, query: BelTerm) -> tuple[int, int]:
+    """The sets ``f or not g`` and ``not g`` whose ``Bel`` the LPs of the
+    query ``Bel(f | g)`` read; ``not g`` is empty when there is no
+    evidence.  A system refined by them answers the query with no new
+    column."""
+    f = extension_bits(frame, query.target)
+    if query.evidence is None:
+        return f, 0
+    not_g = frame.full_bits ^ extension_bits(frame, query.evidence)
+    return f | not_g, not_g
 
 
 def surprise_report(system: CompiledSystem, event: Formula,
@@ -758,8 +820,8 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
         raise FrameTooLarge(f"lower envelope covers 2^{n} subsets; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
     system = _rebase(system, tuple(range(1, full + 1)))
-    box = _Box(system)
-    leaf = _search(box)
+    box = _box(system)
+    leaf = _search(system, box)
     if leaf is None:
         raise InfeasibleSystem("the constraint system is infeasible")
     upper = zeta_transform(np.append(0.0, leaf[1][:full]), n)
@@ -776,7 +838,7 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
             if upper[s] - low <= ZERO_TOL:
                 env[s], certified[s] = upper[s], low
                 continue
-            value, point, _, _ = _search(box, -_objective(system, system.bel_vector(s)))
+            value, point, _, _ = _search(system, box, -_objective(system, system.bel_vector(s)))
             env[s] = certified[s] = -value
             upper = np.minimum(upper, zeta_transform(np.append(0.0, point[:full]), n))
     return np.clip(env, 0.0, 1.0)
@@ -858,16 +920,18 @@ def conflict_core(system: CompiledSystem) -> list[int]:
 
     A deletion filter (Chinneck & Dravnieks 1991): a constraint leaves the
     core when the core without it stays infeasible.  Each test searches
-    the parameter box of its :func:`subsystem`, so nothing is compiled,
-    and an infeasible test also names a conflicting subset for free: the
-    owners of the rows with a nonzero multiplier in the Farkas certificate
-    of its root relaxation.  The root's certificate seeds the core, which
-    one search confirms (else the core starts from every constraint), and
-    each test that stays infeasible shrinks the core to the subset its
-    certificate names; a seed's parameterized constraints are tested
-    first.  A set whose root relaxation is feasible, or infeasible only
-    through the strict slack ``delta``, has no certificate, and its
-    deletion starts from every constraint."""
+    the parameter box of its :func:`subsystem`, so nothing is compiled;
+    the first, of every constraint, searches the system's own box, which a
+    ``feasible`` call before may have built.  An infeasible test also
+    names a conflicting subset for free: the owners of the rows with a
+    nonzero multiplier in the Farkas certificate of its root relaxation.
+    The root's certificate seeds the core, which one search confirms
+    (else the core starts from every constraint), and each test that
+    stays infeasible shrinks the core to the subset its certificate names;
+    a seed's parameterized constraints are tested first.  A set whose root
+    relaxation is feasible, or infeasible only through the strict slack
+    ``delta``, has no certificate, and its deletion starts from every
+    constraint."""
     everything = list(range(len(system.constraints)))
     core = _conflict(system, everything)
     if core is None:
@@ -898,8 +962,8 @@ def _conflict(system: CompiledSystem, keep: list[int]) -> list[int] | None:
     relaxation has those same rows, so the certificate proves it
     infeasible too."""
     sub = subsystem(system, keep)
-    box = _Box(sub)
-    if _search(box) is not None:
+    box = _box(sub)
+    if _search(sub, box) is not None:
         return None
     farkas = box.relaxation.farkas
     if farkas is None:  # the relaxation is feasible, or infeasible only through delta

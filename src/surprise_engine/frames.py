@@ -23,6 +23,9 @@ DEFAULT_MAX_THETA = 1 << 16
 #: Cap on the nesting of parentheses, negations and implications in a
 #: formula, which the parser and every walk of a formula tree recurse on.
 MAX_NESTING = 100
+#: Cap on the binary operators of one formula: a flat chain of them builds
+#: a tree as deep as the chain is long.
+MAX_OPERATORS = 256
 
 BOOLEAN_FRAME = ("Yes", "No")
 
@@ -381,23 +384,38 @@ _PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
 _BINARY = {"=>": Implies, "or": Or, "and": And}
 
 
-def formula_at(tokens: list[Token], i: int, frame: ProductFrame,
-               min_prec: int = 1, depth: int = 0) -> tuple[Formula, int]:
-    """The longest formula starting at token ``i`` whose operators bind
-    at least as tightly as ``min_prec``, and the index of the token after
-    it (precedence climbing); ``depth`` counts the parentheses, negations
-    and implications it lies within.
+def formula_at(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[Formula, int]:
+    """The longest formula starting at token ``i``, and the index of the
+    token after it.  It nests at most ``MAX_NESTING`` deep and holds at
+    most ``MAX_OPERATORS`` binary operators.
 
     Raises :class:`FormulaSyntaxError` and :class:`FormulaError` at the
     offending token's position."""
+    formula, end = _climb(tokens, i, frame)
+    # an operand follows each binary operator, so a formula of at most
+    # 2 * MAX_OPERATORS tokens is under the cap
+    if end - i > 2 * MAX_OPERATORS:
+        operators = [pos for kind, _, pos in tokens[i:end] if kind in _BINARY]
+        if len(operators) > MAX_OPERATORS:
+            raise FormulaSyntaxError(f"formula has more than {MAX_OPERATORS} binary operators",
+                                     operators[MAX_OPERATORS])
+    return formula, end
+
+
+def _climb(tokens: list[Token], i: int, frame: ProductFrame,
+           min_prec: int = 1, depth: int = 0) -> tuple[Formula, int]:
+    """The longest formula starting at token ``i`` whose operators bind
+    at least as tightly as ``min_prec``, and the index of the token after
+    it (precedence climbing); ``depth`` counts the parentheses, negations
+    and implications it lies within."""
     left, i = _operand(tokens, i, frame, depth)
     while True:
         node = _BINARY.get(tokens[i][0])
         if node is None or _PRECEDENCE[node] < min_prec:
             return left, i
         # the right operand of '=>' may hold another '=>': right-associative
-        right, i = formula_at(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies),
-                              _nested(tokens[i], depth) if node is Implies else depth)
+        right, i = _climb(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies),
+                          _nested(tokens[i], depth) if node is Implies else depth)
         left = node(left, right)
 
 
@@ -417,7 +435,7 @@ def _operand(tokens: list[Token], i: int, frame: ProductFrame,
         child, i = _operand(tokens, i + 1, frame, _nested(tokens[i], depth))
         return Not(child), i
     if kind == "(":
-        f, i = formula_at(tokens, i + 1, frame, depth=_nested(tokens[i], depth))
+        f, i = _climb(tokens, i + 1, frame, depth=_nested(tokens[i], depth))
         kind, value, pos = tokens[i]
         if kind != ")":
             raise FormulaSyntaxError(f"expected ')', found {value!r}" if value else "expected ')'", pos)

@@ -1,13 +1,16 @@
 """Constraint parsing, compilation, feasibility, bounds, minimum
 commitment, and surprise reports."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surprise_engine import solver as solver_module
 from surprise_engine import (
     And,
     Atom,
@@ -780,6 +783,153 @@ class TestSubsystem:
                                       dense_coeffs(theirs, b.r_coeffs))
 
 
+def _same_rows(ours, theirs):
+    """Two compiled systems are equal bit for bit: constraints, columns,
+    parameters, conditions, and every field of every row, in order."""
+    assert ours.constraints == theirs.constraints
+    assert ours.columns == theirs.columns
+    assert ours.num_params == theirs.num_params
+    assert ours.conditions == theirs.conditions
+    assert len(ours.static_rows) == len(theirs.static_rows)
+    for a, b in zip(ours.static_rows, theirs.static_rows):
+        assert (a.relop, a.const, a.strict, a.origin) == (b.relop, b.const, b.strict, b.origin)
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert len(ours.param_rows) == len(theirs.param_rows)
+    for a, b in zip(ours.param_rows, theirs.param_rows):
+        assert (a.l_const, a.r_const, a.param, a.origin) == (b.l_const, b.r_const, b.param, b.origin)
+        assert np.array_equal(a.l_coeffs, b.l_coeffs) and np.array_equal(a.r_coeffs, b.r_coeffs)
+
+
+class TestExtend:
+    def test_one_constraint_at_a_time_equals_a_compile(self):
+        """On random sequences of strict, conditional and parameterized
+        constraints, extending the empty system by one constraint at a
+        time gives, after each step, what compiling the prefix gives."""
+        rng = random.Random(16)
+        for _ in range(60):
+            frame = random_frame(rng, max_points=8)
+            cons = _random_constraints(rng, frame, rng.randint(0, 6), params=rng.randint(0, 2))
+            rng.shuffle(cons)
+            system = compile_constraints([], frame)
+            for k, con in enumerate(cons, start=1):
+                system = constraints.extend(system, [con])
+                _same_rows(system, compile_constraints(cons[:k], frame))
+
+    def test_a_constraint_that_does_not_compile_raises_as_a_compile_does(self):
+        frame = ProductFrame([("RAIN", ("Yes", "No")), ("WET", ("Yes", "No"))])
+        equalities = [parse_constraint(t, frame) for t in (
+            "Bel(RAIN | WET) = Bel(WET)", "Bel(WET | RAIN) = Bel(RAIN)",
+            "Bel(not WET | RAIN) = Bel(not RAIN)")]
+        nonlinear = parse_constraint("Bel(RAIN | WET) + Bel(WET) <= 0.5", frame)
+        system = compile_constraints(equalities[:2], frame)
+        for con in (equalities[2], nonlinear):
+            with pytest.raises(CompileError) as compiled:
+                compile_constraints(equalities[:2] + [con], frame)
+            with pytest.raises(CompileError) as extended:
+                constraints.extend(system, [con])
+            assert str(extended.value) == str(compiled.value)
+        assert len(system.constraints) == 2 and system.num_params == 2
+
+    def test_keeps_a_refined_basis(self):
+        # the columns a query's sets added stay, and every row reads as a
+        # compile of the longer set does on every subset
+        frame = ProductFrame([("A", ("a", "b", "c")), ("B", ("Yes", "No"))])
+        first = parse_constraint("Bel(A=a or B) >= 0.3", frame)
+        second = parse_constraint("Bel(A=b | B) <= 0.6", frame)
+        query = term(frame, "A=c", "not B")
+        refined = constraints.refine(compile_constraints([first], frame),
+                                     constraints.query_sets(frame, query))
+        ours = constraints.extend(refined, [second])
+        theirs = compile_constraints([first, second], frame)
+        assert set(refined.columns) <= set(ours.columns)
+        assert constraints.refine(ours, constraints.query_sets(frame, query)) is ours
+        for a, b in zip(ours.static_rows, theirs.static_rows):
+            assert np.array_equal(dense_coeffs(ours, a.coeffs), dense_coeffs(theirs, b.coeffs))
+        assert bounds(ours, query).hi == pytest.approx(bounds(theirs, query).hi, abs=1e-9)
+
+
+def _counting_phase1(monkeypatch) -> list:
+    """The programs of every phase 1 the LP kernel runs from now on."""
+    programs = []
+    phase1 = solver_module._phase1
+
+    def counting(lp, *args, **kwargs):
+        programs.append(lp)
+        return phase1(lp, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_phase1", counting)
+    return programs
+
+
+class TestOneBoxPerSystem:
+    def test_conflict_core_after_feasible_runs_the_root_phase1_once(self, monkeypatch):
+        # the planted check of the benchmark's lattice: feasible, then the
+        # core, on one parameter-free infeasible system
+        frame = ProductFrame([("V0", ("v0", "v1", "v2"))])
+        cons = [parse_constraint(t, frame) for t in (
+            "Bel(V0=v0 or V0=v1) >= 0.7", "Bel(V0=v2) >= 0.2", "Bel(V0=v0) <= 0.9",
+            "Bel(not V0=v2) <= 0.5")]
+        programs = _counting_phase1(monkeypatch)
+        alone = conflict_core(compile_constraints(cons, frame))
+        once = len(programs)
+        programs.clear()
+        system = compile_constraints(cons, frame)
+        assert not feasible(system).feasible
+        assert conflict_core(system) == alone == [0, 3]
+        assert programs.count(system.box.relaxation) == 1
+        assert len(programs) == once
+
+    def test_queries_on_one_system_share_its_phase1(self, monkeypatch):
+        system = compile_constraints([parse_constraint(t, _HIRE_FRAME) for t in (
+            "Bel(HIRE) >= 0.2", "Bel(not HIRE) >= 0.3")], _HIRE_FRAME)
+        programs = _counting_phase1(monkeypatch)
+        assert constraints.subsystem(system, [0, 1]) is system
+        assert conflict_core(system) == []
+        for target in ("HIRE", "not HIRE"):
+            query = term(_HIRE_FRAME, target)
+            assert constraints.refine(system, constraints.query_sets(_HIRE_FRAME, query)) is system
+            bounds(system, query)
+        assert programs == [system.box.relaxation]
+
+    def test_probe_budget_is_per_call(self, monkeypatch):
+        """A call may probe up to ``_PROBE_CAP`` cells that no earlier call
+        on the system probed.  Here ``feasible`` probes 28 cells and
+        ``bounds`` 51 more."""
+        frame = ProductFrame([("A", ("Yes", "No")), ("B", ("Yes", "No"))])
+        cons = [parse_constraint(t, frame) for t in (
+            "Bel(A) = Bel(A | B)", "Bel(A) >= 0.4", "Bel(A) <= 0.45",
+            "Bel(A) + Bel(not A) >= 0.9", "Bel(B) >= 0.3")]
+        query = term(frame, "A")
+        monkeypatch.setattr(constraints, "_PROBE_CAP", 60)
+        system = compile_constraints(cons, frame)
+        assert constraints.refine(system, constraints.query_sets(frame, query)) is system
+        assert feasible(system).feasible
+        assert bounds(system, query).hi == pytest.approx(0.45)
+        assert len(system.box.probed) > 60
+        monkeypatch.setattr(constraints, "_PROBE_CAP", 50)
+        system = compile_constraints(cons, frame)
+        assert feasible(system).feasible
+        with pytest.raises(CompileError, match="probe budget"):
+            bounds(system, query)
+
+    def test_no_reference_cycle(self):
+        # the box holds no reference to its system, so dropping the last
+        # reference frees the system, its box and their tableaux at once
+        system = compile_constraints([parse_constraint("Bel(HIRE) >= 0.2", _HIRE_FRAME)],
+                                     _HIRE_FRAME)
+        bounds(system, term(_HIRE_FRAME, "HIRE"))
+        gone = weakref.ref(system)
+        gc.disable()
+        try:
+            del system
+            assert gone() is None
+        finally:
+            gc.enable()
+
+
+_HIRE_FRAME = ProductFrame([("HIRE", ("Yes", "No"))])
+
+
 class TestCompilerOracleEquivalence:
     def test_rows_agree_with_conditioning_oracle(self, rng):
         agree = violate = 0
@@ -817,6 +967,26 @@ class TestCompilerOracleEquivalence:
 class TestMincommit:
     def test_hire_returns_vacuous(self, hire_system):
         assert mincommit(hire_system).is_vacuous()
+
+    @pytest.mark.parametrize("rows, named, value", [
+        (["Bel(B) = Bel(B | C and A)", "Bel(not A) = Bel(not A | B)",
+          "Bel(not A and C) > 0.861"], "not A and C", 0.861),
+        (["Bel(B or not A) = Bel(B or not A | not C)", "Bel(C and A) = Bel(C and A | B)",
+          "Bel(not C and not A) > 0.117"], "not C and not A", 0.117),
+    ])
+    def test_two_parameter_envelopes_answer(self, monkeypatch, rows, named, value):
+        """Two systems on which the envelope taken over the closure basis
+        alone, with no refinement to every subset, fails: the first runs
+        out of its probe budget and the second raises a ``SolverError``.
+        Over every subset both answer within 2,000 LPs."""
+        frame = ProductFrame([(name, ("Yes", "No")) for name in "ABC"])
+        system = compile_constraints([parse_constraint(r, frame) for r in rows], frame)
+        assert system.num_params == 2
+        solves = counting_solves(monkeypatch)
+        env = lower_envelope(system)
+        assert len(solves) <= 2000
+        assert env[extension(frame, parse_formula(named, frame)).bits] == pytest.approx(value, abs=1e-9)
+        assert env[frame.full_bits] == pytest.approx(1.0, abs=1e-9)
 
     def test_window_masses(self):
         frame = ProductFrame([("X", ("T", "J", "P", "O"))])

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import surprise_engine
-from surprise_engine import ScenarioError, bounds, compile_constraints, constraints, feasible
+from surprise_engine import (
+    CompileError,
+    ScenarioError,
+    bounds,
+    compile_constraints,
+    constraints,
+    feasible,
+    solver,
+)
 from surprise_engine import scenario as scenario_module
 from surprise_engine.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, Repl, bundled_scenario, main
 from surprise_engine.scenario import load_scenario, parse_scenario
@@ -251,6 +259,19 @@ class TestCli:
         key = command if command == "bounds" else args[0][0]
         assert err.endswith(f"(at column {column[key] + 1})\n")
 
+    def test_flat_chain_over_the_operator_cap_is_a_usage_error(self, capsys):
+        chain = " and ".join(["HIRE"] * 2000)
+        assert main(["bounds", str(bundled_scenario("hire.bel")), f"Bel({chain})"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: inside Bel(...): formula has more than 256 binary "
+                                f"operators (at column {_CHAIN_COLUMN})\n")
+
+    def test_flat_chain_at_the_operator_cap_answers(self, capsys):
+        chain = " and ".join(["HIRE"] * 257)
+        assert main(["bounds", str(bundled_scenario("hire.bel")), f"Bel({chain})"]) == EXIT_OK
+        assert capsys.readouterr().out == f"QUERY Bel({chain}) = [0, 0]\n"
+
     def test_thirty_two_points_answer_without_the_subset_lattice(self, tmp_path):
         """Five booleans, 32 points, under ``max_theta = 32``: ``check``,
         ``bounds`` and ``surprise`` answer over the column basis, and
@@ -286,6 +307,12 @@ class TestCli:
         first = capsys.readouterr().out
         main(["bounds", str(bundled_scenario("window.bel"))])
         assert capsys.readouterr().out == first
+
+
+# the column, counted from 1, of the 257th 'and' in ``Bel(HIRE and HIRE
+# and ...)``: it follows ``Bel(``, 257 operands of four letters, 256
+# separators `` and `` and one space
+_CHAIN_COLUMN = 4 + 257 * 4 + 256 * 5 + 1 + 1
 
 
 class TestOverCommittedBunker:
@@ -364,6 +391,27 @@ def test_bunker_lp_budget(command, budget, monkeypatch):
     solves = counting_solves(monkeypatch)
     assert main([command, str(bundled_scenario("bunker.bel"))]) == EXIT_OK
     assert len(solves) <= budget
+
+
+# LPs of each corpus command, measured once the calls on one compiled system
+# came to share its box; a rise must be deliberate
+CORPUS_LPS = {
+    "bird.bel": {"check": 1, "bounds": 3, "mincommit": 6},
+    "bunker.bel": {"check": 12, "bounds": 14, "mincommit": 18},
+    "hire.bel": {"check": 1, "bounds": 5, "mincommit": 1},
+    "nixon.bel": {"check": 1, "bounds": 9, "mincommit": 2},
+    "temperature.bel": {"check": 2, "bounds": 10, "mincommit": 3},
+    "window.bel": {"check": 1, "bounds": 7, "mincommit": 5},
+}
+
+
+@pytest.mark.parametrize("name, command", [(name, command) for name in CORPUS
+                                           for command in ("check", "bounds", "mincommit")])
+def test_corpus_lp_counts(capsys, monkeypatch, name, command):
+    solves = counting_solves(monkeypatch)
+    main([command, str(bundled_scenario(name))])
+    capsys.readouterr()
+    assert len(solves) <= CORPUS_LPS[name][command]
 
 
 def test_window_envelope_answers_most_subsets_without_an_lp(monkeypatch):
@@ -567,12 +615,66 @@ class TestRepl:
             "assume Bel(RAIN) = 0.1",
             "quit",
         ])
-        # one compile each for the start and the two assumes; bounds and the
-        # conflict core reuse the system the last check compiled
-        assert len(compiles) == 3
+        # one compile, the start's: each assume lowers only its constraint
+        # onto the kept system, and bounds and the conflict core reuse it
+        assert len(compiles) == 1
         assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 1]" in out
         assert "CONFLICT 1: Bel(RAIN) >= 0.25" in out
         assert "CONFLICT 2: Bel(RAIN) = 0.1" in out
+
+    def test_assume_with_two_tracked_queries_runs_one_phase1(self, monkeypatch):
+        # the check and both queries' bounds share the extended system's box
+        phase1 = solver._phase1
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args[0])
+            return phase1(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_phase1", counting)
+        stdin, out = _CountingStdin([
+            "bounds Bel(RAIN)",
+            "bounds Bel(WET | RAIN)",
+            "assume Bel(RAIN) >= 0.25",
+        ], runs), io.StringIO()
+        Repl(parse_scenario(RAIN_SCENARIO), stdin=stdin, stdout=out).run()
+        assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 1]" in out.getvalue()
+        assert stdin.marks[3] - stdin.marks[2] == 1
+
+    def test_assume_that_does_not_compile_keeps_the_state(self):
+        repl = Repl(parse_scenario(RAIN_SCENARIO + "[constraints]\n"
+                                   + "\n".join(THREE_EQUALITIES[:2]) + "\n"),
+                    stdin=io.StringIO("bounds Bel(RAIN)\nassume Bel(RAIN) = 0.1\n"),
+                    stdout=io.StringIO())
+        repl.run()
+        state = (repl.system, repl.core, list(repl.scenario.constraints), dict(repl.queries))
+        # a third parameter, and a nonlinear mix of terms
+        for text in (THREE_EQUALITIES[2], "Bel(RAIN | WET) + Bel(WET) <= 0.5"):
+            with pytest.raises(CompileError):
+                repl.do_assume(text)
+            assert (repl.system, repl.core, repl.scenario.constraints, repl.queries) == state
+
+    def test_flat_chains(self, tmp_path):
+        long_chain = " and ".join(["RAIN"] * 2000)
+        chain = " or ".join(["WET"] * 257)
+        path = tmp_path / "chain.bel"
+        code, out = _run_repl(RAIN_SCENARIO, [
+            f"bounds Bel({long_chain})",
+            f"assume Bel({chain}) >= 0.25",
+            f"bounds Bel(RAIN | {chain})",
+            f"save {path}",
+            "quit",
+        ])
+        replies = _replies(out)
+        assert replies[1] == ("ERROR inside Bel(...): formula has more than 256 binary "
+                              f"operators (at column {_CHAIN_COLUMN})\n")
+        assert replies[2] == f"ASSUMED 1: Bel({chain}) >= 0.25\n"
+        assert replies[3] == f"QUERY Bel(RAIN | {chain}) = [0, 1]\n"
+        assert replies[4] == f"SAVED {path}\n"
+        saved = load_scenario(path)
+        assert [c.render(saved.frame) for c in saved.constraints] == [f"Bel({chain}) >= 0.25"]
+        assert [t.render(saved.frame) for _, t in saved.queries] == [f"Bel(RAIN | {chain})"]
+        assert code == 0
 
     def test_malformed_input_keeps_state(self):
         code, out = _run_repl(RAIN_SCENARIO, [
