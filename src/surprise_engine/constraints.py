@@ -14,11 +14,13 @@ the frame and every named set, not the 2^|theta| subsets.  A focal set
 lies inside a named set iff the least column containing it does, so
 moving each focal set's mass onto that column changes no row, and a
 point of the columns is itself a mass function (Fagin & Halpern 1991).
-``bounds`` refines the basis by its query's sets and the lower envelope
-by every subset; a finer basis is just as exact.  :func:`extend` lowers
-only the constraints it adds onto a compiled system, whose basis their
-sets refine; :func:`compile_constraints` is ``extend`` of the system
-with no constraint.
+The move can only lower ``Bel(S)`` of a subset ``S``, so the lower
+envelope reads ``min Bel(S)`` off the basis as it stands.
+``bounds`` refines the basis by its query's sets, and the envelope of a
+parameterized system by every subset; a finer basis is just as exact.
+:func:`extend` lowers only the constraints it adds onto a compiled
+system, whose basis their sets refine; :func:`compile_constraints` is
+``extend`` of the system with no constraint.
 
 Unconditional terms are linear in the columns directly.  A single
 conditional term against constants is cleared of its denominator through
@@ -489,24 +491,11 @@ def _rebase(system: CompiledSystem, columns: tuple[int, ...]) -> CompiledSystem:
 def _least(system: CompiledSystem, columns: tuple[int, ...]) -> np.ndarray:
     """The index of the least column of the system that contains each of
     ``columns``."""
-    bits = system.column_bits
-    full = system.frame.full_bits
-    if len(columns) == full:  # every nonempty subset
-        # the intersection of the columns that contain each subset, by one
-        # pass per point over the subsets without it and with it
-        cl = np.full(full + 1, full, dtype=bits.dtype)
-        cl[bits] = bits
-        for x in range(system.frame.theta_size):
-            view = cl.reshape(-1, 2 << x)
-            view[:, :1 << x] &= view[:, 1 << x:]
-        index = np.empty(full + 1, dtype=np.intp)
-        index[bits] = np.arange(len(bits))
-        return index[cl[1:]]
-    new = np.array(columns, dtype=bits.dtype)
+    new = np.array(columns, dtype=system.column_bits.dtype)
     least = np.empty(len(columns), dtype=np.intp)
     # the least container lies inside every other one, so of the
     # containers taken by decreasing size it is the last
-    for i in sorted(range(len(bits)), key=lambda i: -system.columns[i].bit_count()):
+    for i in sorted(range(len(system.columns)), key=lambda i: -system.columns[i].bit_count()):
         least[(new & ~system.columns[i]) == 0] = i
     return least
 
@@ -813,18 +802,28 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
     does not pile up across layers.  The searches share the cells'
     programs, and the first witness is the leaf of the feasibility
     search, which on a parameter-free system is the point of phase 1.
-    The LPs run over the basis refined to every nonempty subset, whose
-    column ``S`` is at index ``S - 1``."""
+    The least ``Bel(S)`` over the columns is the least over every mass
+    function, so a parameter-free system's LPs run over its own basis and
+    box; a parameterized system's, over every nonempty subset."""
     n = system.frame.theta_size
     if n > MINCOMMIT_MAX_THETA:
         raise FrameTooLarge(f"lower envelope covers 2^{n} subsets; cap is theta_size <= {MINCOMMIT_MAX_THETA}")
     full = system.frame.full_bits
-    system = _rebase(system, tuple(range(1, full + 1)))
+    if system.num_params:
+        # the box search is only known to finish here: over the closure basis
+        # it can exhaust its probe budget or raise a SolverError (see
+        # TestMincommit); a search that stops on a certified gap (ROADMAP
+        # item 2) would make this refinement unnecessary
+        system = _rebase(system, tuple(range(1, full + 1)))
     box = _box(system)
     leaf = _search(system, box)
     if leaf is None:
         raise InfeasibleSystem("the constraint system is infeasible")
-    upper = zeta_transform(np.append(0.0, leaf[1][:full]), n)
+
+    def bel(point: np.ndarray) -> np.ndarray:  # of every subset, each column's mass on its set
+        return zeta_transform(np.bincount(system.column_bits, point[:len(system.columns)], full + 1), n)
+
+    upper = bel(leaf[1])
     env = np.ones(full + 1)
     env[0] = 0.0
     certified = np.zeros(full + 1)  # 0 until a subset is reached, so a max over it is harmless
@@ -840,7 +839,7 @@ def lower_envelope(system: CompiledSystem) -> np.ndarray:
                 continue
             value, point, _, _ = _search(system, box, -_objective(system, system.bel_vector(s)))
             env[s] = certified[s] = -value
-            upper = np.minimum(upper, zeta_transform(np.append(0.0, point[:full]), n))
+            upper = np.minimum(upper, bel(point))
     return np.clip(env, 0.0, 1.0)
 
 

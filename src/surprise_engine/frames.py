@@ -293,7 +293,7 @@ def satisfies(frame: ProductFrame, point: int, formula: Formula) -> bool:
     """Does the point satisfy the formula?
 
     Conjunction and implication are evaluated through their rewrites
-    ``not (not g or not h)`` and ``not g or h``.
+    ``not (not g or not h)`` and ``not g or h``, one call per node.
     """
     if isinstance(formula, Atom):
         return frame.value_at(point, formula.var) == formula.value
@@ -302,9 +302,10 @@ def satisfies(frame: ProductFrame, point: int, formula: Formula) -> bool:
     if isinstance(formula, Or):
         return satisfies(frame, point, formula.left) or satisfies(frame, point, formula.right)
     if isinstance(formula, And):
-        return satisfies(frame, point, Not(Or(Not(formula.left), Not(formula.right))))
+        return not ((not satisfies(frame, point, formula.left))
+                    or (not satisfies(frame, point, formula.right)))
     if isinstance(formula, Implies):
-        return satisfies(frame, point, Or(Not(formula.left), formula.right))
+        return (not satisfies(frame, point, formula.left)) or satisfies(frame, point, formula.right)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -487,27 +488,23 @@ def pretty(formula: Formula, frame: ProductFrame | None = None) -> str:
 
     With a frame supplied, boolean ``X = Yes`` atoms print as bare ``X``.
     """
+    return _render(formula, frame, 0)
 
-    def prec(f: Formula) -> int:
-        return _PRECEDENCE[type(f)]
 
-    def wrap(child: Formula, limit: int) -> str:
-        s = render(child)
-        return f"({s})" if prec(child) < limit else s
-
-    def render(f: Formula) -> str:
-        if isinstance(f, Atom):
-            if frame is not None and f.value == "Yes" and frame.is_boolean(f.var):
-                return f.var
-            return f"{f.var} = {f.value}"
-        if isinstance(f, Not):
-            return "not " + wrap(f.child, 4)
-        if isinstance(f, And):
-            return f"{wrap(f.left, 3)} and {wrap(f.right, 4)}"
-        if isinstance(f, Or):
-            return f"{wrap(f.left, 2)} or {wrap(f.right, 3)}"
-        if isinstance(f, Implies):
-            return f"{wrap(f.left, 2)} => {wrap(f.right, 1)}"
+def _render(f: Formula, frame: ProductFrame | None, limit: int) -> str:
+    """The formula rendered, in parentheses when its operator binds less
+    tightly than ``limit``."""
+    if isinstance(f, Atom):
+        bare = frame is not None and f.value == "Yes" and frame.is_boolean(f.var)
+        return f.var if bare else f"{f.var} = {f.value}"
+    if isinstance(f, Not):
+        s = "not " + _render(f.child, frame, 4)
+    elif isinstance(f, And):
+        s = f"{_render(f.left, frame, 3)} and {_render(f.right, frame, 4)}"
+    elif isinstance(f, Or):
+        s = f"{_render(f.left, frame, 2)} or {_render(f.right, frame, 3)}"
+    elif isinstance(f, Implies):
+        s = f"{_render(f.left, frame, 2)} => {_render(f.right, frame, 1)}"
+    else:
         raise TypeError(f"not a formula: {f!r}")
-
-    return render(formula)
+    return f"({s})" if _PRECEDENCE[type(f)] < limit else s

@@ -1,5 +1,7 @@
 """Frames, formula parsing, satisfaction, and extension semantics."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from surprise_engine import (
     pretty,
     satisfies,
 )
+from surprise_engine.frames import MAX_OPERATORS, extension_bits
 
 
 @pytest.fixture
@@ -146,6 +149,28 @@ class TestSatisfies:
     def test_tautology(self, booleans):
         f = parse_formula("M or not M", booleans)
         assert all(satisfies(booleans, p, f) for p in booleans.points())
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_chain_at_the_operator_cap(self, op):
+        """A formula at the cap evaluates in one call per node, so it
+        agrees with its extension at every point with no RecursionError."""
+        operands = ["A", "not B", "C = c1"] * 86
+        f = parse_formula(f" {op} ".join(operands[:MAX_OPERATORS + 1]), _FRAME)
+        bits = extension_bits(_FRAME, f)
+        assert 0 < bits < _FRAME.full_bits
+        for p in _FRAME.points():
+            assert satisfies(_FRAME, p, f) == bool(bits >> p & 1)
+
+
+def test_pretty_leaves_no_reference_cycle(mpe):
+    f = parse_formula("not (M and P) or E => (M => P)", mpe)
+    gc.collect()
+    gc.disable()
+    try:
+        assert pretty(f, mpe) == "not (M and P) or E => M => P"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestExtension:
