@@ -40,10 +40,11 @@ tightened first at the root; each cell relaxes the parameterized rows to
 interval rows, and a parameter-free system is the zero-dimensional box.
 Feasibility searches depth-first; each end of bounds gets a best-first
 search keyed by the cells' relaxed optima.  A compiled system keeps its
-box, with the root relaxation's phase-1 tableau and every probed cell,
-from the first call that searches it, so ``feasible``, ``bounds``,
+box, with the root relaxation's program and every probed cell, from the
+first call that searches it, so ``feasible``, ``bounds``,
 ``conflict_core`` and ``lower_envelope`` on one system share one phase 1
-per cell.  A query is a quotient of two linear functions of the columns,
+per cell; on a parameter-free system each LP starts from the last one's
+optimal basis.  A query is a quotient of two linear functions of the columns,
 optimized over a cell by Dinkelbach's method.  The lower envelope walks
 the subsets by size and runs a best-first search only for a subset whose
 value the witnesses found so far and its own subsets' values leave open.
@@ -541,9 +542,9 @@ def _rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
             for coeffs, op, const, strict in rows]
 
 
-def _program(system: CompiledSystem, cells=()) -> LinearProgram:
+def _program(system: CompiledSystem, cells=(), *, warm: bool = False) -> LinearProgram:
     """The LP rows of a cell, as one program for every LP over that cell."""
-    return LinearProgram(len(system.columns) + system.strict, _rows(system, cells))
+    return LinearProgram(len(system.columns) + system.strict, _rows(system, cells), warm=warm)
 
 
 def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
@@ -576,6 +577,15 @@ class _Box:
     the constraints.  The box holds no reference to its system, which
     holds the box; each call passes the system in.
 
+    On a parameter-free system, where every LP of every call runs over
+    the root program, that program is warm: each solve starts from the
+    last one's optimal basis, so a run of LPs over the polytope, such as
+    the lower envelope's, pivots only from one optimum to the next.  The
+    cells of a parameterized box, its root included, start each solve
+    from phase 1's tableau: the search's path depends on the optima it
+    meets, and from warm-started optima it can exhaust its probe budget
+    where the cold path does not (ROADMAP item 2).
+
     The root is tightened first (optimization-based bound tightening,
     Belotti et al. 2009): wherever the root relaxation holds, a row ``L +
     t*R = 0`` puts ``t`` at ``L/(-R)``, so ``t`` lies between that
@@ -586,7 +596,9 @@ class _Box:
         self.probed: dict[tuple, tuple | None] = {}
         self.limit = _PROBE_CAP  # probing past this many cells raises
         root = tuple((0.0, 1.0) for _ in range(system.num_params))
-        self.relaxation = _program(system, root)
+        # warm only without parameters; the certified-gap search of ROADMAP
+        # item 2 would let every cell warm-start and remove this split
+        self.relaxation = _program(system, root, warm=not system.num_params)
         found = self.cell(system, root, self.relaxation)
         if root and found is not None:
             program, point = found
@@ -741,7 +753,10 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     system's basis refined by the :func:`query_sets`; when that adds no
     column, they share the system's box with its other calls.
     """
-    u, not_g = query_sets(system.frame, query)
+    frame = system.frame
+    f, g = _query_bits(frame, query)
+    not_g = frame.full_bits ^ g
+    u = f | not_g
     system = refine(system, (u, not_g))
     bel_not_g = system.bel_vector(not_g)
     num = _objective(system, system.bel_vector(u) - bel_not_g)
@@ -758,10 +773,22 @@ def bounds(system: CompiledSystem, query: BelTerm) -> BoundsResult:
     hi_point, hi_open = _end_witness(system, num, den, hi_end)
     lo_point, lo_open = _end_witness(system, -num, den, _search(system, box, -num, key_den))
     w_hi, w_lo = _witness(system, hi_point), _witness(system, lo_point)
-    hi = min(max(evaluate_term(w_hi, query), 0.0), 1.0)
-    lo = min(max(evaluate_term(w_lo, query), 0.0), 1.0)
-    lo = min(lo, hi)
+    target = frame.subset(f)
+    if query.evidence is None:
+        hi, lo = w_hi.belief(target), w_lo.belief(target)
+    else:  # as evaluate_term does, with the formulas walked once
+        evidence = frame.subset(g)
+        hi, lo = w_hi.condition(evidence).belief(target), w_lo.condition(evidence).belief(target)
+    hi = min(max(hi, 0.0), 1.0)
+    lo = min(min(max(lo, 0.0), 1.0), hi)
     return BoundsResult(lo, hi, lo_open, hi_open, w_lo, w_hi)
+
+
+def _query_bits(frame: ProductFrame, query: BelTerm) -> tuple[int, int]:
+    """The sets ``f`` and ``g`` of the query ``Bel(f | g)``; ``g`` is the
+    whole frame when there is no evidence."""
+    f = extension_bits(frame, query.target)
+    return f, frame.full_bits if query.evidence is None else extension_bits(frame, query.evidence)
 
 
 def query_sets(frame: ProductFrame, query: BelTerm) -> tuple[int, int]:
@@ -769,10 +796,8 @@ def query_sets(frame: ProductFrame, query: BelTerm) -> tuple[int, int]:
     query ``Bel(f | g)`` read; ``not g`` is empty when there is no
     evidence.  A system refined by them answers the query with no new
     column."""
-    f = extension_bits(frame, query.target)
-    if query.evidence is None:
-        return f, 0
-    not_g = frame.full_bits ^ extension_bits(frame, query.evidence)
+    f, g = _query_bits(frame, query)
+    not_g = frame.full_bits ^ g
     return f | not_g, not_g
 
 

@@ -13,10 +13,17 @@ runs are deterministic.
 
 A program holds only its rows; the objective comes with each solve.
 The first solve of a program runs phase 1 and keeps its outcome on the
-program, and every solve then runs phase 2 from a copy of that feasible
-tableau.  The LPs over one polytope, which differ only in the objective
-(the steps of Dinkelbach's method, the bound tightening and the lower
-envelope's searched subsets), pay for phase 1 once that way.
+program.  A later solve runs phase 2 from a copy of that feasible
+tableau, or, on a program made with ``warm=True``, from the tableau and
+basis of the last solve, which stay primal feasible whatever the
+objective: only the reduced-cost row is rebuilt (Bixby 2002, *Solving
+real-world linear programs: a decade and more of progress*, Oper. Res.
+50).  The LPs over one polytope, which differ only in the objective (the
+steps of Dinkelbach's method, the bound tightening and the lower
+envelope's searched subsets), pay for phase 1 once that way, and on a
+warm program each starts next to the last optimum.  The reduced-cost row
+is the tableau's last row, so a pivot is one rank-1 update of the whole
+array.
 
 A program whose phase 1 ends infeasible keeps a Farkas certificate
 instead: multipliers ``y``, one per row in the caller's order and signs,
@@ -46,7 +53,8 @@ INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
 OPTIMAL = "optimal"
 
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+# +1 on a ``<=`` row, -1 on a ``>=`` row, 0 on an ``=`` row
+_SENSE = {"<=": 1.0, ">=": -1.0, "=": 0.0}
 
 
 class LinearProgram:
@@ -58,11 +66,15 @@ class LinearProgram:
     :func:`solve` brings its own.  The first solve keeps the outcome of
     phase 1 on the program for every later one: the feasible tableau, or
     the Farkas certificate of an infeasible program (see :attr:`farkas`).
+    A ``warm`` program also keeps each solve's final tableau, and the next
+    solve starts from it.
     """
 
-    __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "zero_vars", "_phase1")
+    __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "zero_vars", "warm", "_sense",
+                 "_phase1")
 
-    def __init__(self, num_vars: int, rows: Sequence[tuple], *, zero_vars: Sequence[int] = ()):
+    def __init__(self, num_vars: int, rows: Sequence[tuple], *, zero_vars: Sequence[int] = (),
+                 warm: bool = False):
         self.num_vars = int(num_vars)
         if self.num_vars < 1:
             raise SolverError("a program needs at least one variable")
@@ -74,7 +86,7 @@ class LinearProgram:
             c = np.asarray(c, dtype=float)
             if c.shape != (self.num_vars,):
                 raise SolverError(f"row width {c.shape} does not match {self.num_vars} variables")
-            if op not in _FLIP:
+            if op not in _SENSE:
                 raise SolverError(f"unknown relational operator {op!r}")
             coeffs.append(c)
             relops.append(op)
@@ -85,6 +97,8 @@ class LinearProgram:
         if not (np.isfinite(self.row_coeffs).all() and np.isfinite(self.consts).all()):
             raise SolverError("row coefficients must be finite")
         self.zero_vars = tuple(sorted(set(int(z) for z in zero_vars)))
+        self.warm = bool(warm)
+        self._sense = np.array([_SENSE[op] for op in relops])
         self._phase1 = None  # set by the first solve; see _phase1
 
     @property
@@ -105,20 +119,20 @@ class SolveResult:
     pivots: int = 0
 
 
-def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``T[row, col]``: one rank-1 update of every row, the
+    reduced-cost row included."""
     T[row] /= T[row, col]
-    pivot_row = T[row]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    rows = factors.nonzero()[0]
-    T[rows] -= factors[rows, None] * pivot_row
-    z -= z[col] * pivot_row
+    update = T[:, col, None] * T[row]
+    update[row] = 0.0
+    T -= update
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> int:
+def _iterate(T: np.ndarray, basis: np.ndarray, budget: int) -> int:
     """Run simplex pivots (minimization) until optimality; returns the
-    pivot count.
+    pivot count.  ``T`` is the tableau with the reduced costs as its last
+    row and the right-hand sides as its last column.
 
     The entering column is the one with the most negative reduced cost
     (Dantzig's rule).  After ``BLAND_AFTER`` consecutive pivots that do
@@ -128,8 +142,8 @@ def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> in
     """
     pivots = 0
     stalled = 0
-    reduced = z[:-1]
-    rhs = T[:, -1]
+    reduced = T[-1, :-1]
+    rhs = T[:-1, -1]
     while True:
         bland = stalled >= BLAND_AFTER
         if bland:
@@ -141,7 +155,7 @@ def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> in
             col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
                 return pivots
-        column = T[:, col]
+        column = T[:-1, col]
         rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise SolverError("the program is unbounded in the objective's direction")
@@ -151,59 +165,39 @@ def _iterate(T: np.ndarray, z: np.ndarray, basis: np.ndarray, budget: int) -> in
         row = int(ties[basis[ties].argmin()])
         if pivots >= budget:
             raise IterationLimit(f"pivot budget of {budget} exhausted")
-        _pivot(T, z, basis, row, col)
+        _pivot(T, basis, row, col)
         pivots += 1
         if not bland:
             stalled = stalled + 1 if best <= PIVOT_TOL else 0
 
 
 def _standard_form(lp: LinearProgram):
-    """Tableau of ``A x (+ slack) (+ artificial) = b`` with ``b >= 0``.
-    Returns the kept (unpinned) coordinates, the tableau, its initial
-    basis, the artificial columns and the number of structural plus slack
-    columns."""
+    """Tableau of ``A x (+ slack) (+ artificial) = b`` with ``b >= 0``, and
+    a last row, zero, for the reduced costs.  Returns the kept (unpinned)
+    coordinates, the tableau, its initial basis and the number of
+    structural plus slack columns; the artificial columns follow those.
+    Each row's basic column is its slack on a ``<=`` row, else its
+    artificial."""
     keep = np.delete(np.arange(lp.num_vars), lp.zero_vars)
     n = keep.size
     if n == 0:
         raise SolverError("every variable is pinned to zero")
 
     m = len(lp.relops)
-    A = lp.row_coeffs[:, keep]
-    b = lp.consts.copy()
-    ops = list(lp.relops)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            ops[i] = _FLIP[ops[i]]
-
-    n_slack = sum(op != "=" for op in ops)
-    n_art = sum(op != "<=" for op in ops)
-    total = n + n_slack + n_art
-    T = np.zeros((m, total + 1))
-    T[:, :n] = A
-    T[:, -1] = b
+    flip = np.where(lp.consts < 0, -1.0, 1.0)
+    sense = lp._sense * flip
+    slack = (sense != 0.0).nonzero()[0]
+    art = (sense != 1.0).nonzero()[0]
+    width = n + slack.size
+    T = np.zeros((m + 1, width + art.size + 1))
+    T[:m, :n] = lp.row_coeffs[:, keep] * flip[:, None]
+    T[:m, -1] = lp.consts * flip
     basis = np.empty(m, dtype=int)
-    art_cols: list[int] = []
-    si, ai = n, n + n_slack
-    for i, op in enumerate(ops):
-        if op == "<=":
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif op == ">=":
-            T[i, si] = -1.0
-            si += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
-        else:
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
-    return keep, T, basis, art_cols, n + n_slack
+    basis[slack] = n + np.arange(slack.size)
+    T[slack, basis[slack]] = sense[slack]
+    basis[art] = width + np.arange(art.size)
+    T[art, basis[art]] = 1.0
+    return keep, T, basis, width
 
 
 def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
@@ -211,56 +205,52 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
     Returns the outcome the program keeps, with the pivot count: either
     the Farkas certificate of an infeasible program, or the kept
     coordinates, the feasible tableau without artificial columns or
-    redundant rows, and its basis.
+    redundant rows, its basis and its point.  The count includes the
+    pivots that move artificial variables left basic at zero out of the
+    basis.
 
     Each row starts with a unit column, its slack or artificial, in the
     basis, so its standard-form multiplier is that column's cost less its
     final reduced cost; a row ``_standard_form`` negated has its
     multiplier negated back."""
-    keep, T, basis, art_cols, width = _standard_form(lp)
-    art_set = set(art_cols)
+    keep, T, basis, width = _standard_form(lp)
     unit = basis.copy()
-    cost = np.zeros(T.shape[1])
-    cost[art_cols] = 1.0
-    z = cost.copy()
-    for i in range(T.shape[0]):
-        if basis[i] in art_set:
-            z -= T[i]
-    pivots = _iterate(T, z, basis, budget)
+    artificial = basis >= width
+    T[-1, width:-1] = 1.0  # minimize the sum of the artificial variables
+    T[-1] -= T[:-1][artificial].sum(axis=0)
+    pivots = _iterate(T, basis, budget)
+    z = T[-1]
     if -z[-1] > 1e-9:
-        y = (cost[unit] - z[unit]) * np.where(lp.consts < 0, -1.0, 1.0)
-        ops = np.array(lp.relops)
+        y = (artificial.astype(float) - z[unit]) * np.where(lp.consts < 0, -1.0, 1.0)
         # optimality leaves a wrong sign of at most PIVOT_TOL: clip it
-        y[ops == "<="] = np.minimum(y[ops == "<="], 0.0)
-        y[ops == ">="] = np.maximum(y[ops == ">="], 0.0)
+        y[lp._sense * y > 0.0] = 0.0
         return y, pivots
 
     # Remove artificial variables: pivot basics out on the largest
     # available element (tiny pivots would blow residuals up), dropping
     # numerically redundant rows.
     dropped = []
-    for i in range(T.shape[0]):
-        if basis[i] in art_set:
-            row = np.abs(T[i, :width])
-            col = int(np.argmax(row))
-            if row[col] > 1e-7:
-                _pivot(T, z, basis, i, col)
-            else:
-                dropped.append(i)
-    T = np.hstack([T[:, :width], T[:, -1:]])
-    if dropped:
-        T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
+    for i in (basis >= width).nonzero()[0]:
+        row = np.abs(T[i, :width])
+        col = int(np.argmax(row))
+        if row[col] > 1e-7:
+            _pivot(T, basis, i, col)
+            pivots += 1
+        else:
+            dropped.append(i)
+    T = np.delete(np.delete(T, np.s_[width:-1], axis=1), dropped, axis=0)
+    basis = np.delete(basis, dropped)
     # a basic value rounded just below zero would turn into a large negative
     # step on a tiny pivot in phase 2: it is zero
-    rhs = T[:, -1]
+    rhs = T[:-1, -1]
     rhs[(rhs < 0.0) & (rhs > -RESIDUAL_TOL)] = 0.0
-    return (keep, T, basis), pivots
+    return (keep, T, basis, _point(lp.num_vars, keep, T, basis)), pivots
 
 
 def _point(num_vars: int, keep: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     x = np.zeros(num_vars)
     basic = basis < keep.size
-    x[keep[basis[basic]]] = T[basic, -1]
+    x[keep[basis[basic]]] = T[:-1, -1][basic]
     return x
 
 
@@ -270,11 +260,13 @@ def solve(lp: LinearProgram, objective=None, *,
 
     Returns ``INFEASIBLE``; ``OPTIMAL`` with value and point when an
     ``objective`` coefficient vector is given, which is maximized (to
-    minimize, negate it); or ``FEASIBLE`` with a satisfying point.  Only
-    the first solve of a program runs phase 1.  Every solve runs phase 2
-    on a copy of the program's feasible tableau, and ``pivots`` counts the
-    pivots of this solve.  Raises :class:`IterationLimit` when the pivot
-    budget runs out, which is reported distinctly from infeasibility.
+    minimize, negate it); or ``FEASIBLE`` with the point of phase 1.  Only
+    the first solve of a program runs phase 1.  Every solve with an
+    objective runs phase 2: on a copy of the program's feasible tableau,
+    or on a ``warm`` program from the last solve's tableau, which it keeps
+    for the next.  ``pivots`` counts the pivots of this solve.  Raises
+    :class:`IterationLimit` when the pivot budget runs out, which is
+    reported distinctly from infeasibility.
     """
     if objective is not None:
         objective = np.asarray(objective, dtype=float)
@@ -285,25 +277,25 @@ def solve(lp: LinearProgram, objective=None, *,
         lp._phase1, pivots = _phase1(lp, max_pivots)
     if lp.farkas is not None:
         return SolveResult(INFEASIBLE, pivots=pivots)
-    keep, T, basis = lp._phase1
+    keep, T, basis, point = lp._phase1
     if objective is None:
+        _verify(lp, point)
+        return SolveResult(FEASIBLE, point=point.copy(), pivots=pivots)
+
+    # Phase 2: optimize the caller's objective from a feasible basis.
+    if not lp.warm:
+        T, basis = T.copy(), basis.copy()
+    cost = np.zeros(T.shape[1])
+    cost[:keep.size] = -objective[keep]
+    T[-1] = cost - cost[basis] @ T[:-1]
+    try:
+        pivots += _iterate(T, basis, max_pivots - pivots)
         point = _point(lp.num_vars, keep, T, basis)
         _verify(lp, point)
-        return SolveResult(FEASIBLE, point=point, pivots=pivots)
-
-    # Phase 2: optimize the caller's objective.
-    T, basis = T.copy(), basis.copy()
-    width = T.shape[1] - 1
-    cost = np.zeros(width + 1)
-    cost[:keep.size] = -objective[keep]
-    z2 = cost.copy()
-    for i in range(T.shape[0]):
-        if cost[basis[i]] != 0.0:
-            z2 -= cost[basis[i]] * T[i]
-    pivots += _iterate(T, z2, basis, max_pivots - pivots)
-
-    point = _point(lp.num_vars, keep, T, basis)
-    _verify(lp, point)
+    except SolverError:
+        if lp.warm:  # the kept tableau may be spoilt: the next solve starts afresh
+            lp._phase1 = None
+        raise
     return SolveResult(OPTIMAL, value=float(objective @ point), point=point, pivots=pivots)
 
 
@@ -311,6 +303,9 @@ def _verify(lp: LinearProgram, point: np.ndarray) -> None:
     """Surface numerical failures as diagnostics instead of silent garbage."""
     if point.min() < -RESIDUAL_TOL:
         raise SolverError(f"solution has negative coordinate {point.min()}")
-    for i, (op, resid) in enumerate(zip(lp.relops, lp.row_coeffs @ point - lp.consts)):
-        if (abs(resid) if op == "=" else resid if op == "<=" else -resid) > RESIDUAL_TOL:
-            raise SolverError(f"row {i} violated by {resid} at the returned point")
+    resid = lp.row_coeffs @ point - lp.consts
+    excess = np.where(lp._sense == 0.0, np.abs(resid), lp._sense * resid)
+    violated = (excess > RESIDUAL_TOL).nonzero()[0]
+    if violated.size:
+        i = int(violated[0])
+        raise SolverError(f"row {i} violated by {resid[i]} at the returned point")

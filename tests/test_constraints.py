@@ -912,6 +912,36 @@ class TestOneBoxPerSystem:
         with pytest.raises(CompileError, match="probe budget"):
             bounds(system, query)
 
+    def test_only_a_parameter_free_root_program_starts_warm(self):
+        """An objective solved twice: on a parameter-free system's root
+        program the second solve starts at the first one's optimum and
+        takes no pivot; on each cell program of a parameterized system's
+        box it starts from phase 1's tableau again and takes the first
+        solve's pivots."""
+        frame = ProductFrame([("A", ("Yes", "No")), ("B", ("Yes", "No"))])
+        rows = ("Bel(A) >= 0.4", "Bel(A) <= 0.45", "Bel(A) + Bel(not A) >= 0.9",
+                "Bel(B) >= 0.3")
+        free = compile_constraints([parse_constraint(t, frame) for t in rows], frame)
+        param = compile_constraints([parse_constraint(t, frame)
+                                     for t in ("Bel(A) = Bel(A | B)",) + rows], frame)
+        assert (free.num_params, param.num_params) == (0, 1)
+        assert bounds(param, term(frame, "A")).hi == pytest.approx(0.45)
+        cells = [found[0] for found in param.box.probed.values() if found is not None]
+        programs = [(constraints._box(free).relaxation, True)] + [(p, False) for p in cells]
+        assert len(programs) > 2
+        moved = 0
+        for program, warm in programs:
+            system = free if warm else param
+            for bits in system.column_bits.tolist():
+                for sign in (1.0, -1.0):
+                    objective = sign * constraints._objective(system, system.bel_vector(bits))
+                    first = solver_module.solve(program, objective)
+                    again = solver_module.solve(program, objective)
+                    assert again.value == first.value
+                    assert again.pivots == (0 if warm else first.pivots)
+                    moved += first.pivots > 0
+        assert moved > len(programs)
+
     def test_no_reference_cycle(self):
         # the box holds no reference to its system, so dropping the last
         # reference frees the system, its box and their tableaux at once

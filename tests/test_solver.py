@@ -11,7 +11,10 @@ from surprise_engine import (
     EngineError,
     IterationLimit,
     LinearProgram,
+    ProductFrame,
     SolverError,
+    compile_constraints,
+    constraints,
     parse_constraint,
     solve,
     solver,
@@ -247,6 +250,173 @@ def test_warm_start_matches_cold_solve():
     assert checked >= 60
 
 
+def _chained_objectives(warm: LinearProgram, objectives) -> tuple[int, int]:
+    """Solve each objective on the warm program, which starts from the last
+    solve's optimum, and on a cold copy, which starts from phase 1's
+    tableau; the optima agree within 1e-9.  A point that fails the
+    kernel's verification raises.  Returns the phase-2 pivots of the warm
+    and of the cold solves."""
+    cold = LinearProgram(warm.num_vars, list(zip(warm.row_coeffs, warm.relops, warm.consts)),
+                         zero_vars=warm.zero_vars)
+    solve(warm), solve(cold)  # phase 1
+    warm_pivots = cold_pivots = 0
+    for objective in objectives:
+        res, ref = solve(warm, objective), solve(cold, objective)
+        assert res.status == ref.status == OPTIMAL
+        assert res.value == pytest.approx(ref.value, abs=1e-9)
+        warm_pivots += res.pivots
+        cold_pivots += ref.pivots
+    return warm_pivots, cold_pivots
+
+
+def _random_objective(rng, n):
+    """Random coefficients, or a signed 0/1 vector, whose ties make the
+    optima degenerate."""
+    if rng.random() < 0.5:
+        return [rng.uniform(-1, 1) for _ in range(n)]
+    sign = rng.choice((1.0, -1.0))
+    return [sign * float(rng.random() < 0.5) for _ in range(n)]
+
+
+def test_warm_program_chains_objectives_like_a_cold_one():
+    rng = random.Random(29)
+    chained = 0
+    while chained < 4:
+        n = rng.randint(3, 12)
+        rows = _degenerate_rows(rng, n)[:n] + _random_rows(rng, n, rng.randint(1, 4))
+        rows.append((np.ones(n), "=", 1.0))
+        lp = LinearProgram(n, rows, zero_vars=(0,) if rng.random() < 0.5 else (), warm=True)
+        if solve(lp).status == INFEASIBLE:
+            continue
+        _chained_objectives(lp, [_random_objective(rng, n) for _ in range(200)])
+        chained += 1
+
+
+def test_warm_root_of_a_twelve_point_system_chains_objectives():
+    """The root program of a parameter-free system on a 12-point frame,
+    shaped like the benchmark's lattice systems: 200 objectives, ``Bel`` of
+    random subsets either way, random mixes and ``delta``, chained on one
+    warm program, in fewer pivots than from phase 1's tableau each time."""
+    rng = random.Random(12)
+    frame = ProductFrame([("V0", ("v0", "v1", "v2")), ("V1", ("v0", "v1", "v2", "v3"))])
+    anchor = random_mass(frame, rng, max_focals=6)
+    cons = []
+    while len(cons) < 10:
+        s = random_subset(frame, rng)
+        g = random_subset(frame, rng, nonempty=True) if rng.random() < 0.3 else None
+        try:
+            value = (anchor if g is None else anchor.condition(g)).belief(s)
+        except EngineError:
+            continue
+        op = rng.choice(["=", "<=", ">=", "<", ">"])
+        value += {"<": 0.05, ">": -0.05}.get(op, 0.0)
+        given = "" if g is None else f" | {subset_formula(frame, g)}"
+        cons.append(parse_constraint(f"Bel({subset_formula(frame, s)}{given}) {op} {value!r}",
+                                     frame))
+    system = compile_constraints(cons, frame)
+    assert system.num_params == 0 and system.strict
+    root = constraints._box(system).relaxation
+    assert root.warm
+    objectives = []
+    for _ in range(200):
+        pick = rng.random()
+        if pick < 0.6:
+            vec = rng.choice((1.0, -1.0)) * system.bel_vector(random_subset(frame, rng).bits)
+        elif pick < 0.9:
+            vec = np.array([rng.uniform(-1, 1) for _ in system.columns])
+        else:
+            vec = np.zeros(len(system.columns))
+        objectives.append(constraints._objective(system, vec) if pick < 0.9 else
+                          np.eye(1, root.num_vars, root.num_vars - 1)[0])
+    warm, cold = _chained_objectives(root, objectives)
+    assert warm < cold
+
+
+def test_warm_program_starts_afresh_after_a_failed_solve(monkeypatch):
+    # a solve that raises may leave the kept tableau spoilt: the next one
+    # runs phase 1 again instead of starting from it
+    lp = LinearProgram(3, [([1.0, 1.0, 0.0], "<=", 0.6), (np.ones(3), "=", 1.0)], warm=True)
+    verify = solver._verify
+
+    def failing(*args):
+        monkeypatch.setattr(solver, "_verify", verify)
+        raise SolverError("row 0 violated")
+
+    monkeypatch.setattr(solver, "_verify", failing)
+    with pytest.raises(SolverError):
+        solve(lp, [1.0, 2.0, 3.0])
+    again = solve(lp, [1.0, 2.0, 3.0])
+    assert again.value == pytest.approx(3.0, abs=1e-12)
+    assert again.pivots > 0
+    assert solve(lp, [1.0, 2.0, 3.0]).pivots == 0
+
+
+def _row_by_row_standard_form(lp: LinearProgram):
+    """The standard-form tableau built one row at a time: the reference for
+    ``solver._standard_form``."""
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    keep = [j for j in range(lp.num_vars) if j not in lp.zero_vars]
+    rows = []
+    for coeffs, op, const in zip(lp.row_coeffs, lp.relops, lp.consts):
+        coeffs = coeffs[keep]
+        if const < 0:
+            coeffs, op, const = -coeffs, flip[op], -const
+        rows.append((coeffs, op, const))
+    n, m = len(keep), len(rows)
+    n_slack = sum(op != "=" for _, op, _ in rows)
+    n_art = sum(op != "<=" for _, op, _ in rows)
+    T = np.zeros((m + 1, n + n_slack + n_art + 1))
+    basis = []
+    si, ai = n, n + n_slack
+    for i, (coeffs, op, const) in enumerate(rows):
+        T[i, :n], T[i, -1] = coeffs, const
+        if op != "=":
+            T[i, si] = 1.0 if op == "<=" else -1.0
+            si += 1
+        if op == "<=":
+            basis.append(si - 1)
+        else:
+            T[i, ai] = 1.0
+            basis.append(ai)
+            ai += 1
+    return keep, T, basis, n + n_slack
+
+
+def _first_violated_row(lp: LinearProgram, point: np.ndarray):
+    """The first row that the point misses by more than ``RESIDUAL_TOL``,
+    row by row: the reference for ``solver._verify``."""
+    for i, (coeffs, op, const) in enumerate(zip(lp.row_coeffs, lp.relops, lp.consts)):
+        resid = coeffs @ point - const
+        if (abs(resid) if op == "=" else resid if op == "<=" else -resid) > solver.RESIDUAL_TOL:
+            return i
+    return None
+
+
+def test_vectorised_setup_and_verification_match_row_by_row():
+    rng = random.Random(41)
+    violated = 0
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        rows = [(np.array([rng.choice((0.0, -1.0, 1.0, rng.uniform(-2, 2))) for _ in range(n)]),
+                 rng.choice(("<=", ">=", "=")), rng.choice((0.0, rng.uniform(-2, 2))))
+                for _ in range(rng.randint(0, 6))]
+        zero_vars = tuple(j for j in range(n - 1) if rng.random() < 0.2)
+        lp = LinearProgram(n, rows, zero_vars=zero_vars)
+        keep, T, basis, width = solver._standard_form(lp)
+        ref_keep, ref_T, ref_basis, ref_width = _row_by_row_standard_form(lp)
+        assert keep.tolist() == ref_keep and width == ref_width
+        assert np.array_equal(T, ref_T) and basis.tolist() == ref_basis
+        point = np.array([rng.choice((0.0, rng.uniform(0, 1))) for _ in range(n)])
+        expected = _first_violated_row(lp, point)
+        if expected is None:
+            solver._verify(lp, point)
+        else:
+            with pytest.raises(SolverError, match=f"^row {expected} violated"):
+                solver._verify(lp, point)
+            violated += 1
+    assert 20 < violated < 180
+
+
 def test_infeasible_program_stays_infeasible():
     lp = simplex_program(3, [([1, 0, 0], ">=", 0.6), ([1, 0, 0], "<=", 0.4)])
     assert solve(lp).status == INFEASIBLE
@@ -287,6 +457,34 @@ def test_bland_fallback_agrees_with_default_rule(monkeypatch, threshold):
         assert res.value == pytest.approx(default.value, abs=1e-9)
 
 
+def test_pivots_count_every_pivot(monkeypatch):
+    """``SolveResult.pivots`` counts every pivot of a solve, those that
+    move artificial variables left basic at zero out of phase 1's basis
+    included."""
+    calls, iterated = [], []
+    pivot, iterate = solver._pivot, solver._iterate
+
+    def counting_pivot(*args):
+        calls.append(1)
+        pivot(*args)
+
+    def counting_iterate(*args):
+        iterated.append(iterate(*args))
+        return iterated[-1]
+
+    monkeypatch.setattr(solver, "_pivot", counting_pivot)
+    monkeypatch.setattr(solver, "_iterate", counting_iterate)
+    rng = random.Random(5)
+    counted = 0
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        res = solve(simplex_program(n, _degenerate_rows(rng, n)),
+                    [rng.uniform(-1, 1) for _ in range(n)])
+        counted += res.pivots
+    assert counted == len(calls)
+    assert len(calls) > sum(iterated)  # some were drive-out pivots
+
+
 def test_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
     # Beale (1955): at the degenerate origin Dantzig's rule, with ties on
     # the smallest basis variable, cycles through six bases forever.
@@ -295,11 +493,11 @@ def test_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
                       [0.5, -12, -0.5, 3, 0, 1, 0, 0],
                       [0, 0, 1, 0, 0, 0, 1, 1]], dtype=float)
         z = np.array([-0.75, 20, -0.5, 6, 0, 0, 0, 0], dtype=float)
-        return T, z, np.array([4, 5, 6])
+        return np.vstack([T, z]), np.array([4, 5, 6])
 
-    T, z, basis = beale()
-    solver._iterate(T, z, basis, 1000)
-    assert -z[-1] == pytest.approx(-1.25, abs=1e-12)
+    T, basis = beale()
+    solver._iterate(T, basis, 1000)
+    assert -T[-1, -1] == pytest.approx(-1.25, abs=1e-12)
     monkeypatch.setattr(solver, "BLAND_AFTER", 10 ** 9)
     with pytest.raises(IterationLimit):
         solver._iterate(*beale(), 1000)
