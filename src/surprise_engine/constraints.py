@@ -65,7 +65,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
-from math import fsum
+from math import fsum, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +85,7 @@ from .frames import (
     Formula,
     Not,
     ProductFrame,
-    Token,
+    Tokens,
     extension_bits,
     formula_at,
     pretty,
@@ -117,6 +117,7 @@ class BelTerm:
 
 
 _RELOPS = frozenset(("=", "<=", ">=", "<", ">"))
+_SIGNS = frozenset(("+", "-"))
 
 
 @dataclass(frozen=True)
@@ -147,30 +148,31 @@ class Constraint:
 # ---------------------------------------------------------------------------
 # Constraint surface syntax (the grammar is in ``frames``)
 
-def _expected(what: str, token: Token) -> ConstraintError:
-    kind, value, pos = token
+def _expected(what: str, tokens: Tokens, i: int) -> ConstraintError:
+    kind, value, pos = tokens.kinds[i], tokens.values[i], tokens.offset(i)
     if kind == "bad":
         return ConstraintError(f"unexpected character {value!r}", pos)
     return ConstraintError(f"expected {what}, found {value!r}" if value else f"expected {what}", pos)
 
 
-def bel_term_at(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[BelTerm, int]:
+def bel_term_at(tokens: Tokens, i: int, frame: ProductFrame) -> tuple[BelTerm, int]:
     """The belief term ``Bel(target [| evidence])`` whose name ``Bel`` is
     token ``i``, and the index of the token after it.  Every error is a
     :class:`ConstraintError` at its position in the tokenized text."""
-    if tokens[i + 1][0] != "(":
-        raise _expected("'(' after Bel", tokens[i + 1])
+    kinds = tokens.kinds
+    if kinds[i + 1] != "(":
+        raise _expected("'(' after Bel", tokens, i + 1)
     try:
         target, i = formula_at(tokens, i + 2, frame)
         evidence = None
-        if tokens[i][0] == "|":
+        if kinds[i] == "|":
             evidence, i = formula_at(tokens, i + 1, frame)
     except FormulaError as exc:
         raise ConstraintError(f"inside Bel(...): {exc.args[0]}", exc.position) from exc
-    if tokens[i][0] == "|":
-        raise ConstraintError("more than one '|' inside Bel(...)", tokens[i][2])
-    if tokens[i][0] != ")":
-        raise _expected("')' to close Bel(...)", tokens[i])
+    if kinds[i] == "|":
+        raise ConstraintError("more than one '|' inside Bel(...)", tokens.offset(i))
+    if kinds[i] != ")":
+        raise _expected("')' to close Bel(...)", tokens, i)
     return BelTerm(target, evidence), i + 1
 
 
@@ -179,57 +181,85 @@ def parse_constraint(text: str, frame: ProductFrame,
     """Parse a relation between linear combinations of belief terms.
 
     Identifiers outside formulas are symbolic constants resolved through
-    ``constants``; an unresolved name is an error.
+    ``constants``; an unresolved name is an error, and so is a number,
+    constant or sum of them that is not finite.
     """
     constants = constants or {}
     tokens = tokenize(text)
-    merged: dict[BelTerm, float] = {}
+    kinds, values = tokens.kinds, tokens.values
+    # each distinct term and its coefficient, in order of first mention;
+    # a repeated term is found by comparing trees, which stops at their
+    # first difference, where hashing one walks the whole tree
+    terms: list[BelTerm] = []
+    coefs: list[float] = []
     consts = {1.0: 0.0, -1.0: 0.0}
     relop = None
     i = 0
     for side in (1.0, -1.0):  # the left side's terms add, the right side's subtract
         while True:
             sign = 1.0
-            while tokens[i][0] in ("+", "-"):
-                if tokens[i][0] == "-":
+            while kinds[i] in _SIGNS:
+                if kinds[i] == "-":
                     sign = -sign
                 i += 1
-            kind, value, pos = tokens[i]
+            start, kind, value = i, kinds[i], values[i]
             coef = None
             if kind == "number":
                 coef = float(value)
                 i += 1
             elif kind == "name" and value != "Bel":
                 if value not in constants:
-                    raise ConstraintError(f"constant {value!r} has no value", pos)
+                    raise ConstraintError(f"constant {value!r} has no value", tokens.offset(i))
                 coef = constants[value]
                 i += 1
-            if coef is not None and tokens[i][0] == "*":
+            if coef is not None and not isfinite(coef):
+                raise ConstraintError(f"{kind if kind == 'number' else 'constant'} {value!r} "
+                                      "is not finite", tokens.offset(start))
+            if coef is not None and kinds[i] == "*":
                 i += 1
-                if tokens[i][:2] != ("name", "Bel"):
-                    raise _expected("Bel(...) after '*'", tokens[i])
-            if tokens[i][:2] == ("name", "Bel"):
+                if values[i] != "Bel":
+                    raise _expected("Bel(...) after '*'", tokens, i)
+            if values[i] == "Bel":
                 term, i = bel_term_at(tokens, i, frame)
-                merged[term] = merged.get(term, 0.0) + side * sign * (1.0 if coef is None else coef)
+                weight = side * sign * (1.0 if coef is None else coef)
+                for k, seen in enumerate(terms):
+                    if seen == term:
+                        coefs[k] += weight
+                        if not isfinite(coefs[k]):
+                            raise ConstraintError(
+                                f"the coefficients of {term.render(frame)} add up to a number "
+                                "that is not finite", tokens.offset(start))
+                        break
+                else:
+                    terms.append(term)
+                    coefs.append(weight)
             elif coef is not None:
                 consts[side] += sign * coef
+                if not isfinite(consts[side]):
+                    raise ConstraintError("the constants add up to a number that is not finite",
+                                          tokens.offset(start))
             else:
-                raise _expected("a term", tokens[i])
-            if tokens[i][0] not in ("+", "-"):
+                raise _expected("a term", tokens, i)
+            if kinds[i] not in _SIGNS:
                 break
-        kind, value, pos = tokens[i]
+        kind = kinds[i]
         if kind in _RELOPS and relop is None:
-            relop, i = value, i + 1
+            relop, relop_at, i = kind, i, i + 1
         elif kind in _RELOPS or kind == "end" and relop is None:
             raise ConstraintError("a constraint needs exactly one relational operator, found "
-                                  + (f"a second {value!r}" if relop else "none"), pos)
+                                  + (f"a second {values[i]!r}" if relop else "none"),
+                                  tokens.offset(i))
         elif kind != "end":
             raise _expected("'+' or '-'" if relop else "'+', '-' or a relational operator",
-                            tokens[i])
-    terms = tuple((coef, term) for term, coef in merged.items() if coef != 0.0)
-    if not terms:
+                            tokens, i)
+    merged = tuple((coef, term) for term, coef in zip(terms, coefs) if coef != 0.0)
+    if not merged:
         raise ConstraintError("constraint has no belief term")
-    return Constraint(terms, relop, consts[-1.0] - consts[1.0], text=text.strip())
+    const = consts[-1.0] - consts[1.0]
+    if not isfinite(const):
+        raise ConstraintError("the constants add up to a number that is not finite",
+                              tokens.offset(relop_at))
+    return Constraint(merged, relop, const, text=text.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +419,31 @@ def extend(system: CompiledSystem, constraints: Sequence[Constraint], *,
     system = CompiledSystem(frame, base.constraints + tuple(constraints), columns,
                             [r for r in base.static_rows if not isinstance(r.origin, str)],
                             list(base.param_rows), num_params, base.conditions + conditions)
-    for idx, (con, (terms, param)) in enumerate(zip(constraints, forms),
-                                                start=len(base.constraints)):
-        if param is not None:
-            for _, u, not_g in terms:
-                system.param_rows.append(_param_row(system, u, not_g, param, idx))
-            continue
-        const = con.const
-        strict = con.relop in ("<", ">")
-        relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
-        coef, u, not_g = terms[0]
-        if not_g is not None:  # the only term is conditional
-            # k * Bel(f|g) relop c, cleared through the normalizer:
-            # k*Bel(f or not g) + (c-k)*Bel(not g) relop c
-            coeffs = coef * system.bel_vector(u) + (const - coef) * system.bel_vector(not_g)
-        else:
-            coeffs = np.zeros(len(system.columns))
-            for coef, f, _ in terms:
-                coeffs += coef * system.bel_vector(f)
-        system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
+    # finite coefficients may still add up past the largest float: such a
+    # row does not compile
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (con, (terms, param)) in enumerate(zip(constraints, forms),
+                                                    start=len(base.constraints)):
+            if param is not None:
+                for _, u, not_g in terms:
+                    system.param_rows.append(_param_row(system, u, not_g, param, idx))
+                continue
+            const = con.const
+            strict = con.relop in ("<", ">")
+            relop = {"<": "<=", ">": ">="}.get(con.relop, con.relop)
+            coef, u, not_g = terms[0]
+            if not_g is not None:  # the only term is conditional
+                # k * Bel(f|g) relop c, cleared through the normalizer:
+                # k*Bel(f or not g) + (c-k)*Bel(not g) relop c
+                coeffs = coef * system.bel_vector(u) + (const - coef) * system.bel_vector(not_g)
+            else:
+                coeffs = np.zeros(len(system.columns))
+                for coef, f, _ in terms:
+                    coeffs += coef * system.bel_vector(f)
+            if not (isfinite(const) and np.isfinite(coeffs).all()):
+                raise CompileError(f"constraint {con.render(frame)!r} overflows: "
+                                   "its row holds a number that is not finite")
+            system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
     system.static_rows += _guard_rows(system)
     return system
 

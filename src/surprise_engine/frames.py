@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import FormulaError, FormulaSyntaxError, FrameMismatch, FrameTooLarge
@@ -75,13 +77,18 @@ class ProductFrame:
         self._strides = tuple(strides)
         # precomputed so instances stay strictly immutable after construction;
         # the points where variable ``pos`` takes its value ``digit`` form a
-        # block of ``stride`` ones, repeated every ``stride * width`` points
-        atom_bits: dict[tuple[int, int], int] = {}
-        for pos, frame_values in enumerate(values):
+        # block of ``stride`` ones, repeated every ``stride * width`` points.
+        # Keyed by ``(name, value)``, and by the bare name of a boolean
+        # variable for ``name = Yes``, so that the parser checks an atom and
+        # ``extension_bits`` resolves it with one lookup.
+        atom_bits: dict[tuple[str, str] | str, int] = {}
+        for pos, (name, frame_values) in enumerate(zip(names, values)):
             stride, width = strides[pos], len(frame_values)
             repeat = ((1 << size) - 1) // ((1 << stride * width) - 1)
-            for digit in range(width):
-                atom_bits[(pos, digit)] = (((1 << stride) - 1) << (digit * stride)) * repeat
+            for digit, value in enumerate(frame_values):
+                atom_bits[name, value] = (((1 << stride) - 1) << (digit * stride)) * repeat
+            if set(frame_values) == set(BOOLEAN_FRAME):
+                atom_bits[name] = atom_bits[name, "Yes"]
         self._atom_bits = atom_bits
 
     # -- variable/value lookup -------------------------------------------
@@ -170,7 +177,9 @@ class ProductFrame:
 
     def atom_bits(self, name: str, value: str) -> int:
         """Bitmask of the points whose ``name``-value is ``value``."""
-        return self._atom_bits[(self.position(name), self.value_index(name, value))]
+        if (name, value) not in self._atom_bits:
+            self.value_index(name, value)  # raises, naming the unknown variable or value
+        return self._atom_bits[name, value]
 
     # -- identity --------------------------------------------------------
 
@@ -315,15 +324,20 @@ def extension(frame: ProductFrame, formula: Formula) -> SubsetOfTheta:
 
 
 def extension_bits(frame: ProductFrame, formula: Formula) -> int:
-    if isinstance(formula, Atom):
-        return frame.atom_bits(formula.var, formula.value)
-    if isinstance(formula, Not):
-        return frame.full_bits ^ extension_bits(frame, formula.child)
-    if isinstance(formula, Or):
+    # dispatched on the exact node type, the commonest first
+    kind = type(formula)
+    if kind is Atom:
+        try:
+            return frame._atom_bits[formula.var, formula.value]
+        except KeyError:
+            return frame.atom_bits(formula.var, formula.value)  # raises, naming what is unknown
+    if kind is Or:
         return extension_bits(frame, formula.left) | extension_bits(frame, formula.right)
-    if isinstance(formula, And):
+    if kind is And:
         return extension_bits(frame, formula.left) & extension_bits(frame, formula.right)
-    if isinstance(formula, Implies):
+    if kind is Not:
+        return frame.full_bits ^ extension_bits(frame, formula.child)
+    if kind is Implies:
         return (frame.full_bits ^ extension_bits(frame, formula.left)) | extension_bits(frame, formula.right)
     raise TypeError(f"not a formula: {formula!r}")
 
@@ -349,117 +363,155 @@ def extension_bits(frame: ProductFrame, formula: Formula) -> int:
 # A bare name over a boolean frame {Yes, No} is shorthand for
 # ``NAME = Yes``.  A coefficient may precede ``Bel(...)`` without ``*``.
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-         | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-         | (?P<symbol>=>|<=|>=|/\\|\\/|[()|=<>~+\-*])
-         | (?P<bad>.)
-         | (?P<end>\Z))""",
-    re.VERBOSE | re.DOTALL,
-)
+# One token after any white space: a name, a two-character symbol, a
+# number, or any other single character.  The findall over the text runs
+# in C; a token's offset is found again only for an error message.
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"\s*([A-Za-z_][A-Za-z0-9_]*|=>|<=|>=|/\\|\\/|{_NUMBER}|\S)")
+_NUMBER_RE = re.compile(_NUMBER + r"\Z")
 
-# the kind of each keyword and of its symbol form; another name has kind
-# "name" and another symbol is its own kind
-_KINDS = {"not": "not", "~": "not", "and": "and", "/\\": "and", "or": "or", "\\/": "or"}
-
-Token = tuple[str, str, int]
-
-
-def tokenize(text: str) -> list[Token]:
-    """The ``(kind, text, position)`` tokens of constraint-language text,
-    ending with an ``end`` token.  A kind is ``number``, ``name``, the
-    operator of a keyword or symbol, ``end``, or ``bad`` for a character
-    no token starts with, so tokenizing never raises."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        value = m.group(group)
-        kind = _KINDS.get(value, group if group != "symbol" else value)
-        tokens.append((kind, value, m.start(group)))
-    return tokens
+# the kind of each keyword and of its symbol form, and of every other
+# symbol, which is its own kind; "." alone starts no number
+_KINDS = {"not": "not", "~": "not", "and": "and", "/\\": "and", "or": "or", "\\/": "or",
+          ".": "bad"}
+_KINDS.update((s, s) for s in ("=>", "<=", ">=", "(", ")", "|", "=", "<", ">", "+", "-", "*"))
+# the kind of any other token by its first character; a token that starts
+# with another character is a number of non-ASCII digits or a bad character
+_FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name")
+          | dict.fromkeys("0123456789.", "number"))
 
 
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+class Tokens:
+    """The tokens of constraint-language text as parallel lists of
+    ``kinds`` and ``values``, ending with one ``end`` token (see
+    :func:`tokenize`); :meth:`offset` gives a token's position in
+    ``text``."""
 
-# the node of each binary operator's token kind
-_BINARY = {"=>": Implies, "or": Or, "and": And}
+    __slots__ = ("text", "kinds", "values")
+
+    def __init__(self, text: str, kinds: list[str], values: list[str]):
+        self.text, self.kinds, self.values = text, kinds, values
+
+    def offset(self, i: int) -> int:
+        """The offset of token ``i`` in the text; the ``end`` token lies
+        at its end."""
+        if i >= len(self.kinds) - 1:
+            return len(self.text)
+        return next(islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
 
 
-def formula_at(tokens: list[Token], i: int, frame: ProductFrame) -> tuple[Formula, int]:
+def tokenize(text: str) -> Tokens:
+    """The tokens of constraint-language text.  A kind is ``number``,
+    ``name``, the operator of a keyword or symbol, ``end``, or ``bad`` for
+    a character no token starts with, so tokenizing never raises."""
+    values = _TOKEN_RE.findall(text)
+    kinds = list(map(_KINDS.get, values, map(_FIRST.get, map(itemgetter(0), values))))
+    if None in kinds:
+        kinds = [kind or ("number" if _NUMBER_RE.match(value) else "bad")
+                 for kind, value in zip(kinds, values)]
+    kinds.append("end")
+    values.append("")
+    return Tokens(text, kinds, values)
+
+
+def formula_at(tokens: Tokens, i: int, frame: ProductFrame) -> tuple[Formula, int]:
     """The longest formula starting at token ``i``, and the index of the
     token after it.  It nests at most ``MAX_NESTING`` deep and holds at
     most ``MAX_OPERATORS`` binary operators.
 
     Raises :class:`FormulaSyntaxError` and :class:`FormulaError` at the
     offending token's position."""
-    formula, end = _climb(tokens, i, frame)
+    formula, end = _implication(tokens, i, frame, 0)
     # an operand follows each binary operator, so a formula of at most
     # 2 * MAX_OPERATORS tokens is under the cap
     if end - i > 2 * MAX_OPERATORS:
-        operators = [pos for kind, _, pos in tokens[i:end] if kind in _BINARY]
+        operators = [j for j in range(i, end) if tokens.kinds[j] in _BINARY]
         if len(operators) > MAX_OPERATORS:
             raise FormulaSyntaxError(f"formula has more than {MAX_OPERATORS} binary operators",
-                                     operators[MAX_OPERATORS])
+                                     tokens.offset(operators[MAX_OPERATORS]))
     return formula, end
 
 
-def _climb(tokens: list[Token], i: int, frame: ProductFrame,
-           min_prec: int = 1, depth: int = 0) -> tuple[Formula, int]:
-    """The longest formula starting at token ``i`` whose operators bind
-    at least as tightly as ``min_prec``, and the index of the token after
-    it (precedence climbing); ``depth`` counts the parentheses, negations
-    and implications it lies within."""
-    left, i = _operand(tokens, i, frame, depth)
+def _implication(tokens: Tokens, i: int, frame: ProductFrame,
+                 depth: int) -> tuple[Formula, int]:
+    """The longest formula starting at token ``i``, and the index of the
+    token after it; ``depth`` counts the parentheses, negations and
+    implications it lies within.  ``or`` and ``and`` chains are read
+    left-associative in loops; the right operand of ``=>`` is a whole
+    formula, which may hold another ``=>``."""
+    kinds = tokens.kinds
+    left = None
     while True:
-        node = _BINARY.get(tokens[i][0])
-        if node is None or _PRECEDENCE[node] < min_prec:
-            return left, i
-        # the right operand of '=>' may hold another '=>': right-associative
-        right, i = _climb(tokens, i + 1, frame, _PRECEDENCE[node] + (node is not Implies),
-                          _nested(tokens[i], depth) if node is Implies else depth)
-        left = node(left, right)
+        conjunction, i = _operand(tokens, i, frame, depth)
+        while kinds[i] == "and":
+            right, i = _operand(tokens, i + 1, frame, depth)
+            conjunction = And(conjunction, right)
+        left = conjunction if left is None else Or(left, conjunction)
+        if kinds[i] != "or":
+            break
+        i += 1
+    if kinds[i] == "=>":
+        right, i = _implication(tokens, i + 1, frame, _nested(tokens, i, depth))
+        left = Implies(left, right)
+    return left, i
 
 
-def _nested(token: Token, depth: int) -> int:
-    """The depth inside the parenthesis, negation or implication
-    ``token``, which may nest at most ``MAX_NESTING`` deep."""
+def _nested(tokens: Tokens, i: int, depth: int) -> int:
+    """The depth inside the parenthesis, negation or implication at token
+    ``i``, which may nest at most ``MAX_NESTING`` deep."""
     if depth >= MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", token[2])
+        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", tokens.offset(i))
     return depth + 1
 
 
-def _operand(tokens: list[Token], i: int, frame: ProductFrame,
+def _operand(tokens: Tokens, i: int, frame: ProductFrame,
              depth: int) -> tuple[Formula, int]:
     """A negation, a parenthesized formula or an atom at token ``i``."""
-    kind, value, pos = tokens[i]
+    kind, value = tokens.kinds[i], tokens.values[i]
+    if kind == "name":
+        atoms = frame._atom_bits
+        if tokens.kinds[i + 1] == "=":
+            if tokens.kinds[i + 2] == "name" and (value, tokens.values[i + 2]) in atoms:
+                return Atom(value, tokens.values[i + 2]), i + 3
+        elif value in atoms:  # a bare boolean name
+            return Atom(value, "Yes"), i + 1
+        raise _atom_error(tokens, i, frame)
     if kind == "not":
-        child, i = _operand(tokens, i + 1, frame, _nested(tokens[i], depth))
+        child, i = _operand(tokens, i + 1, frame, _nested(tokens, i, depth))
         return Not(child), i
     if kind == "(":
-        f, i = _climb(tokens, i + 1, frame, depth=_nested(tokens[i], depth))
-        kind, value, pos = tokens[i]
-        if kind != ")":
-            raise FormulaSyntaxError(f"expected ')', found {value!r}" if value else "expected ')'", pos)
+        f, i = _implication(tokens, i + 1, frame, _nested(tokens, i, depth))
+        if tokens.kinds[i] != ")":
+            value = tokens.values[i]
+            raise FormulaSyntaxError(f"expected ')', found {value!r}" if value else "expected ')'",
+                                     tokens.offset(i))
         return f, i + 1
-    if kind == "name":
-        if value not in frame.names:
-            raise FormulaError(f"unknown variable {value!r}", pos)
-        if tokens[i + 1][0] == "=":
-            vkind, vval, vpos = tokens[i + 2]
-            if vkind != "name":
-                raise FormulaSyntaxError("expected a value after '='", vpos)
-            if vval not in frame.values(value):
-                raise FormulaError(f"variable {value!r} has no value {vval!r}", vpos)
-            return Atom(value, vval), i + 3
-        if not frame.is_boolean(value):
-            raise FormulaError(
-                f"bare {value!r} is shorthand for {value} = Yes, but {value!r} is not boolean", pos)
-        return Atom(value, "Yes"), i + 1
-    raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value else "unexpected end of formula", pos)
+    raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value
+                             else "unexpected end of formula", tokens.offset(i))
 
 
-# the token kinds a formula is made of
+def _atom_error(tokens: Tokens, i: int, frame: ProductFrame) -> FormulaError:
+    """The error of the name at token ``i``, which starts no atom of the
+    frame."""
+    name = tokens.values[i]
+    if name not in frame.names:
+        return FormulaError(f"unknown variable {name!r}", tokens.offset(i))
+    if tokens.kinds[i + 1] != "=":
+        return FormulaError(
+            f"bare {name!r} is shorthand for {name} = Yes, but {name!r} is not boolean",
+            tokens.offset(i))
+    if tokens.kinds[i + 2] != "name":
+        return FormulaSyntaxError("expected a value after '='", tokens.offset(i + 2))
+    return FormulaError(f"variable {name!r} has no value {tokens.values[i + 2]!r}",
+                        tokens.offset(i + 2))
+
+
+# the token kinds of the binary operators, and of all the tokens a formula
+# is made of
+_BINARY = frozenset(("=>", "or", "and"))
 _FORMULA_KINDS = frozenset(("name", "(", ")", "=", "=>", "not", "and", "or", "end"))
+
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
 
 
 def parse_formula(text: str, frame: ProductFrame) -> Formula:
@@ -473,13 +525,13 @@ def parse_formula(text: str, frame: ProductFrame) -> Formula:
     if not text.strip():
         raise FormulaSyntaxError("empty formula", 0)
     tokens = tokenize(text)
-    for kind, _, pos in tokens:
+    for i, kind in enumerate(tokens.kinds):
         if kind not in _FORMULA_KINDS:
+            pos = tokens.offset(i)
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
     formula, i = formula_at(tokens, 0, frame)
-    kind, value, pos = tokens[i]
-    if kind != "end":
-        raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+    if tokens.kinds[i] != "end":
+        raise FormulaSyntaxError(f"unexpected {tokens.values[i]!r}", tokens.offset(i))
     return formula
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 from .calibration import CalibrationCurve, build_curve
@@ -45,7 +46,7 @@ from .constraints import (
     compile_constraints,
     parse_constraint,
 )
-from .errors import EngineError, ScenarioError
+from .errors import EngineError, ScenarioError, TextError
 from .frames import ProductFrame, tokenize
 
 _SECTIONS = ("config", "variables", "constants", "constraints", "calibration", "queries")
@@ -134,9 +135,13 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
         if not m:
             raise ScenarioError(f"expected 'name = number', got {line!r}", lineno)
         try:
-            config.constants[m.group(1)] = float(m.group(2))
+            value = float(m.group(2))
         except ValueError:
             raise ScenarioError(f"constant {m.group(1)!r} has a non-numeric value", lineno) from None
+        if not isfinite(value):
+            fault = TextError(f"constant {m.group(1)!r} is not finite", m.start(2))
+            raise ScenarioError(str(fault), lineno)
+        config.constants[m.group(1)] = value
 
     for lineno, line in sections["config"]:
         m = _ASSIGN_RE.fullmatch(line)
@@ -162,9 +167,12 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
             config.flags[key] = value.lower() in _TRUE_WORDS
         else:
             try:
-                config.constants[key] = float(value)
+                number = float(value)
             except ValueError:
                 raise ScenarioError(f"--set {key}={value}: not a number or on/off flag") from None
+            if not isfinite(number):
+                raise ScenarioError(f"--set {key}={value}: not a finite number")
+            config.constants[key] = number
 
     variables = []
     for lineno, line in sections["variables"]:
@@ -229,11 +237,11 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
 def parse_query_term(text: str, frame: ProductFrame) -> BelTerm:
     """Parse a bare ``Bel(target)`` or ``Bel(target | evidence)``."""
     tokens = tokenize(text)
-    if tokens[0][:2] != ("name", "Bel"):
+    if tokens.values[0] != "Bel":
         raise ScenarioError(f"a query must be a single Bel(...) term, got {text.strip()!r}")
     term, i = bel_term_at(tokens, 0, frame)
-    if tokens[i][0] != "end":
-        raise ScenarioError(f"trailing input after Bel(...): {text[tokens[i][2]:].strip()!r}")
+    if tokens.kinds[i] != "end":
+        raise ScenarioError(f"trailing input after Bel(...): {text[tokens.offset(i):].strip()!r}")
     return term
 
 

@@ -42,7 +42,12 @@ from surprise_engine import (
     solve,
     surprise_report,
 )
-from surprise_engine.errors import ConditioningUndefined, ScenarioError
+from surprise_engine.errors import (
+    ConditioningUndefined,
+    FormulaError,
+    FormulaSyntaxError,
+    ScenarioError,
+)
 from surprise_engine.scenario import parse_query_term
 from conftest import (
     column_masses,
@@ -137,6 +142,12 @@ class TestParsing:
         assert con.const == 0.3
 
 
+def test_a_constant_that_is_not_finite_is_named(hire_frame):
+    with pytest.raises(ConstraintError) as err:
+        parse_constraint("Bel(HIRE) <= 0.5 + c Bel(HIRE)", hire_frame, {"c": float("nan")})
+    assert str(err.value) == "constant 'c' is not finite (at column 20)"
+
+
 # each malformed text, the class of its error and the error's position in
 # the text; ScenarioError carries none
 MALFORMED_CONSTRAINTS = [
@@ -180,6 +191,153 @@ def test_malformed_query(hire_frame, text, error, position):
 def test_formula_error_column_counts_from_the_constraint(hire_frame):
     with pytest.raises(ConstraintError, match=r"unknown variable 'FIRE' \(at column 17\)"):
         parse_constraint("Bel(HIRE) = Bel(FIRE)", hire_frame)
+
+
+# -- every parse error's message and column -------------------------------------
+
+_ERROR_FRAME = ProductFrame([("HIRE", ("Yes", "No")), ("TEMP", ("low", "med", "high"))])
+_PARSE = {
+    "formula": lambda text: parse_formula(text, _ERROR_FRAME),
+    "constraint": lambda text: parse_constraint(text, _ERROR_FRAME, {"k": 0.5}),
+    "query": lambda text: parse_query_term(text, _ERROR_FRAME),
+}
+
+# each text, what reads it, and the class and exact text of its error; the
+# messages were recorded from the finditer tokenizer and the precedence-
+# climbing parser, before the lexer and the looped parser replaced them
+PARSE_ERRORS = [
+    # frames._operand
+    ("formula", "FIRE", FormulaError, "unknown variable 'FIRE' (at column 1)"),
+    ("formula", "HIRE or TEMP = hot", FormulaError,
+     "variable 'TEMP' has no value 'hot' (at column 16)"),
+    ("formula", "not TEMP", FormulaError,
+     "bare 'TEMP' is shorthand for TEMP = Yes, but 'TEMP' is not boolean (at column 5)"),
+    ("formula", "TEMP = (low)", FormulaSyntaxError, "expected a value after '=' (at column 8)"),
+    ("formula", "TEMP =", FormulaSyntaxError, "expected a value after '=' (at column 7)"),
+    ("formula", "(HIRE", FormulaSyntaxError, "expected ')' (at column 6)"),
+    ("formula", "(HIRE HIRE)", FormulaSyntaxError, "expected ')', found 'HIRE' (at column 7)"),
+    ("formula", "HIRE and", FormulaSyntaxError, "unexpected end of formula (at column 9)"),
+    ("formula", "HIRE and )", FormulaSyntaxError, "expected a formula, found ')' (at column 10)"),
+    ("formula", "=> HIRE", FormulaSyntaxError, "expected a formula, found '=>' (at column 1)"),
+    # frames._nested
+    ("formula", "not " * 101 + "HIRE", FormulaSyntaxError,
+     "formula nests more than 100 deep (at column 401)"),
+    ("formula", "(" * 101 + "HIRE" + ")" * 101, FormulaSyntaxError,
+     "formula nests more than 100 deep (at column 101)"),
+    ("formula", "HIRE => " * 101 + "HIRE", FormulaSyntaxError,
+     "formula nests more than 100 deep (at column 806)"),
+    # frames.formula_at
+    ("formula", " or ".join(["HIRE"] * 258), FormulaSyntaxError,
+     "formula has more than 256 binary operators (at column 2054)"),
+    ("formula", " and ".join(["HIRE"] * 200) + " or " + " and ".join(["HIRE"] * 100),
+     FormulaSyntaxError, "formula has more than 256 binary operators (at column 2309)"),
+    # frames.parse_formula
+    ("formula", "", FormulaSyntaxError, "empty formula (at column 1)"),
+    ("formula", "  \t ", FormulaSyntaxError, "empty formula (at column 1)"),
+    ("formula", "HIRE & HIRE", FormulaSyntaxError, "unexpected character '&' (at column 6)"),
+    ("formula", "FIRE & HIRE", FormulaSyntaxError, "unexpected character '&' (at column 6)"),
+    ("formula", "HIRE <= TEMP", FormulaSyntaxError, "unexpected character '<' (at column 6)"),
+    ("formula", "HIRE 1.5", FormulaSyntaxError, "unexpected character '1' (at column 6)"),
+    ("formula", "HIRE | TEMP = low", FormulaSyntaxError,
+     "unexpected character '|' (at column 6)"),
+    ("formula", "HIRE \u00e9", FormulaSyntaxError, "unexpected character '\u00e9' (at column 6)"),
+    ("formula", "HIRE HIRE", FormulaSyntaxError, "unexpected 'HIRE' (at column 6)"),
+    ("formula", "HIRE = Yes = No", FormulaSyntaxError, "unexpected '=' (at column 12)"),
+    ("formula", "(HIRE))", FormulaSyntaxError, "unexpected ')' (at column 7)"),
+    # constraints.bel_term_at, and the formula errors it wraps
+    ("constraint", "Bel(FIRE) = 1", ConstraintError,
+     "inside Bel(...): unknown variable 'FIRE' (at column 5)"),
+    ("constraint", "Bel(HIRE) = Bel(FIRE)", ConstraintError,
+     "inside Bel(...): unknown variable 'FIRE' (at column 17)"),
+    ("constraint", "Bel(TEMP) = 1", ConstraintError,
+     "inside Bel(...): bare 'TEMP' is shorthand for TEMP = Yes, but 'TEMP' is not boolean "
+     "(at column 5)"),
+    ("constraint", "Bel(TEMP = hot) = 1", ConstraintError,
+     "inside Bel(...): variable 'TEMP' has no value 'hot' (at column 12)"),
+    ("constraint", "Bel(HIRE | ) = 1", ConstraintError,
+     "inside Bel(...): expected a formula, found ')' (at column 12)"),
+    ("constraint", "Bel(" + "not " * 101 + "HIRE) = 1", ConstraintError,
+     "inside Bel(...): formula nests more than 100 deep (at column 405)"),
+    ("constraint", "Bel(" + " or ".join(["HIRE"] * 300) + ") = 1", ConstraintError,
+     "inside Bel(...): formula has more than 256 binary operators (at column 2058)"),
+    ("constraint", "Bel(HIRE | HIRE | HIRE) = 1", ConstraintError,
+     "more than one '|' inside Bel(...) (at column 17)"),
+    ("constraint", "Bel(HIRE <= 1", ConstraintError,
+     "expected ')' to close Bel(...), found '<=' (at column 10)"),
+    ("constraint", "Bel(HIRE", ConstraintError, "expected ')' to close Bel(...) (at column 9)"),
+    ("constraint", "Bel(HIRE and (TEMP = low) = 1", ConstraintError,
+     "expected ')' to close Bel(...), found '=' (at column 27)"),
+    # constraints._expected
+    ("constraint", "Bel HIRE = 1", ConstraintError,
+     "expected '(' after Bel, found 'HIRE' (at column 5)"),
+    ("constraint", "Bel", ConstraintError, "expected '(' after Bel (at column 4)"),
+    ("constraint", "Bel(HIRE) = 0.2 & 0.3", ConstraintError,
+     "unexpected character '&' (at column 17)"),
+    ("constraint", "Bel(HIRE & TEMP = low) = 0.2", ConstraintError,
+     "unexpected character '&' (at column 10)"),
+    ("constraint", "Bel(HIRE) = 1 .", ConstraintError, "unexpected character '.' (at column 15)"),
+    ("constraint", "Bel(HIRE) = 1 \\", ConstraintError,
+     "unexpected character '\\\\' (at column 15)"),
+    ("constraint", "Bel(HIRE)\u3000=\u3000\u00e9", ConstraintError,
+     "unexpected character '\u00e9' (at column 13)"),
+    ("constraint", "Bel(HIRE) = 2 * c", ConstraintError,
+     "expected Bel(...) after '*', found 'c' (at column 17)"),
+    ("constraint", "0.5 * 0.3 <= Bel(HIRE)", ConstraintError,
+     "expected Bel(...) after '*', found '0.3' (at column 7)"),
+    ("constraint", "k * * Bel(HIRE) <= 0.5", ConstraintError,
+     "expected Bel(...) after '*', found '*' (at column 5)"),
+    ("constraint", "* Bel(HIRE) <= 0.5", ConstraintError,
+     "expected a term, found '*' (at column 1)"),
+    ("constraint", "Bel(HIRE) <= 1 +", ConstraintError, "expected a term (at column 17)"),
+    ("constraint", "Bel(HIRE) = -", ConstraintError, "expected a term (at column 14)"),
+    ("constraint", "", ConstraintError, "expected a term (at column 1)"),
+    ("constraint", "   ", ConstraintError, "expected a term (at column 4)"),
+    ("constraint", "Bel(HIRE) = 0.2 )", ConstraintError,
+     "expected '+' or '-', found ')' (at column 17)"),
+    ("constraint", "Bel(HIRE) = 1 extra", ConstraintError,
+     "expected '+' or '-', found 'extra' (at column 15)"),
+    ("constraint", "Bel(HIRE) = 1 =>", ConstraintError,
+     "expected '+' or '-', found '=>' (at column 15)"),
+    ("constraint", "Bel(HIRE) ) = 1", ConstraintError,
+     "expected '+', '-' or a relational operator, found ')' (at column 11)"),
+    ("constraint", "Bel(HIRE) /\\ 1", ConstraintError,
+     "expected '+', '-' or a relational operator, found '/\\\\' (at column 11)"),
+    # constraints.parse_constraint
+    ("constraint", "c Bel(HIRE) = 1", ConstraintError, "constant 'c' has no value (at column 1)"),
+    ("constraint", "Bel(HIRE) + 0.2", ConstraintError,
+     "a constraint needs exactly one relational operator, found none (at column 16)"),
+    ("constraint", "Bel(HIRE) = 0.2 = 0.3", ConstraintError,
+     "a constraint needs exactly one relational operator, found a second '=' (at column 17)"),
+    ("constraint", "Bel(HIRE) < 0.2 >= 0.3", ConstraintError,
+     "a constraint needs exactly one relational operator, found a second '>=' (at column 17)"),
+    ("constraint", "0.5 <= 0.7", ConstraintError, "constraint has no belief term"),
+    ("constraint", "Bel(HIRE) - Bel(HIRE = Yes) = 0", ConstraintError,
+     "constraint has no belief term"),
+    # scenario.parse_query_term, and the errors of bel_term_at it passes on
+    ("query", "HIRE", ScenarioError, "a query must be a single Bel(...) term, got 'HIRE'"),
+    ("query", "BelHIRE)", ScenarioError,
+     "a query must be a single Bel(...) term, got 'BelHIRE)'"),
+    ("query", "", ScenarioError, "a query must be a single Bel(...) term, got ''"),
+    ("query", "Bel(HIRE) junk", ScenarioError, "trailing input after Bel(...): 'junk'"),
+    ("query", "Bel(HIRE) )  ", ScenarioError, "trailing input after Bel(...): ')'"),
+    ("query", "Bel(HIRE) = 1", ScenarioError, "trailing input after Bel(...): '= 1'"),
+    ("query", "Bel(FIRE)", ConstraintError,
+     "inside Bel(...): unknown variable 'FIRE' (at column 5)"),
+    ("query", "  Bel(HIRE | FIRE)", ConstraintError,
+     "inside Bel(...): unknown variable 'FIRE' (at column 14)"),
+    ("query", "Bel HIRE", ConstraintError, "expected '(' after Bel, found 'HIRE' (at column 5)"),
+    ("query", "Bel(HIRE", ConstraintError, "expected ')' to close Bel(...) (at column 9)"),
+    ("query", "Bel(HIRE | HIRE | HIRE)", ConstraintError,
+     "more than one '|' inside Bel(...) (at column 17)"),
+]
+
+
+@pytest.mark.parametrize("reader, text, error, message", PARSE_ERRORS)
+def test_parse_error_message_and_column(reader, text, error, message):
+    with pytest.raises(error) as err:
+        _PARSE[reader](text)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 # -- rendering a random constraint and parsing it back -------------------------

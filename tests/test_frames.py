@@ -1,6 +1,7 @@
 """Frames, formula parsing, satisfaction, and extension semantics."""
 
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from surprise_engine import (
     pretty,
     satisfies,
 )
-from surprise_engine.frames import MAX_OPERATORS, extension_bits
+from surprise_engine.frames import MAX_OPERATORS, extension_bits, tokenize
 
 
 @pytest.fixture
@@ -240,3 +241,62 @@ def test_extension_homomorphism(g, h):
 def test_pretty_print_round_trip(f):
     assert parse_formula(pretty(f, _FRAME), _FRAME) == f
     assert parse_formula(pretty(f), _FRAME) == f
+
+
+# -- the lexer against the finditer tokenizer it replaced ----------------------
+
+# the tokenizer the lexer replaced, kept as its reference: one match per
+# token, the token's kind read off the group that matched
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""\s*(?:(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+         | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+         | (?P<symbol>=>|<=|>=|/\\|\\/|[()|=<>~+\-*])
+         | (?P<bad>.)
+         | (?P<end>\Z))""",
+    re.VERBOSE | re.DOTALL,
+)
+_REFERENCE_KINDS = {"not": "not", "~": "not", "and": "and", "/\\": "and", "or": "or", "\\/": "or"}
+
+
+def _reference_tokens(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        value = m.group(group)
+        kind = _REFERENCE_KINDS.get(value, group if group != "symbol" else value)
+        tokens.append((kind, value, m.start(group)))
+    # after a text that ends in white space, the reference matches the end
+    # twice: once with the white space, once empty
+    if len(tokens) > 1 and tokens[-2][0] == "end":
+        tokens.pop()
+    return tokens
+
+
+def _triples(text):
+    tokens = tokenize(text)
+    return [(kind, value, tokens.offset(i))
+            for i, (kind, value) in enumerate(zip(tokens.kinds, tokens.values))]
+
+
+# pieces of the constraint language and characters outside it
+_PIECES = st.sampled_from([
+    "not", "and", "or", "Bel", "M", "x_1", "Yes", "notM", "or2",
+    "=>", "<=", ">=", "/\\", "\\/", "(", ")", "|", "=", "<", ">", "~", "+", "-", "*",
+    ".", "&", "/", "\\", "!", "#", "\u00e9", "\u0663", "\u0663.5",
+    " ", "  ", "\t", "\n", "\r", "\u3000", "\x1c",
+    "0", "12", "1.5", ".5", "1e3", "2E-7", "1.", "3e", "e", "E", "+7", "1e999",
+])
+
+
+@given(st.lists(_PIECES | st.characters(), max_size=40).map("".join))
+@settings(max_examples=500)
+def test_lexer_matches_the_reference_tokenizer(text):
+    assert _triples(text) == _reference_tokens(text)
+
+
+@pytest.mark.parametrize("text", ["M ", "M\t\n", "   ", ""])
+def test_one_end_token(text):
+    tokens = tokenize(text)
+    assert tokens.kinds.count("end") == 1
+    assert (tokens.kinds[-1], tokens.values[-1], tokens.offset(len(tokens.kinds) - 1)) == (
+        "end", "", len(text))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,41 @@ class TestCli:
 # and ...)``: it follows ``Bel(``, 257 operands of four letters, 256
 # separators `` and `` and one space
 _CHAIN_COLUMN = 4 + 257 * 4 + 256 * 5 + 1 + 1
+
+
+# -- numbers that are not finite -------------------------------------------------
+
+_TWO_BOOLEANS = "[variables]\nA: Yes, No\nB: Yes, No\n"
+_OVERFLOWING_ROW = "1e308*Bel(A) + 1e308*Bel(B) <= 1e308"
+
+
+@pytest.mark.parametrize("body, args, message", [
+    ("[constraints]\nBel(A) <= 1e999\n", [],
+     "line 5: number '1e999' is not finite (at column 11)"),
+    ("[constants]\nc = nan\n[constraints]\nBel(A) <= c\n", [],
+     "line 5: constant 'c' is not finite (at column 5)"),
+    ("[constants]\nc = -inf\n[constraints]\nBel(A) <= c\n", [],
+     "line 5: constant 'c' is not finite (at column 5)"),
+    ("[constants]\nc = 0.5\n[constraints]\nBel(A) <= c\n", ["--set", "c=inf"],
+     "--set c=inf: not a finite number"),
+    ("[constraints]\n1e308*Bel(A) + 1e308*Bel(A) <= 1\n", [],
+     "line 5: the coefficients of Bel(A) add up to a number that is not finite (at column 16)"),
+    ("[constraints]\n1e308 + 1e308 <= Bel(A)\n", [],
+     "line 5: the constants add up to a number that is not finite (at column 9)"),
+    ("[constraints]\n1e308 <= -1e308 + Bel(A)\n", [],
+     "line 5: the constants add up to a number that is not finite (at column 7)"),
+    (f"[constraints]\n{_OVERFLOWING_ROW}\n", [],
+     f"constraint {_OVERFLOWING_ROW!r} overflows: its row holds a number that is not finite"),
+])
+def test_a_number_that_is_not_finite_is_a_usage_error(capsys, tmp_path, body, args, message):
+    path = tmp_path / "huge.bel"
+    path.write_text(_TWO_BOOLEANS + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings too
+        assert main(["check", str(path), *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 class TestOverCommittedBunker:
@@ -704,6 +740,29 @@ class TestRepl:
         saved = load_scenario(path)
         assert [c.render(saved.frame) for c in saved.constraints] == [f"Bel({chain}) >= 0.25"]
         assert [t.render(saved.frame) for _, t in saved.queries] == [f"Bel(RAIN | {chain})"]
+        assert code == 0
+
+    def test_numbers_that_are_not_finite_keep_the_state(self):
+        overflowing = "1e308*Bel(RAIN) + 1e308*Bel(WET) <= 1e308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run_repl(RAIN_SCENARIO, [
+                "assume Bel(RAIN) <= 1e999",
+                "assume 1e308*Bel(RAIN) + 1e308*Bel(RAIN) <= 1",
+                "assume 1e308 <= -1e308 + Bel(RAIN)",
+                f"assume {overflowing}",
+                "list",
+                "quit",
+            ])
+        assert _replies(out)[1:6] == [
+            "ERROR number '1e999' is not finite (at column 14)\n",
+            "ERROR the coefficients of Bel(RAIN) add up to a number that is not finite "
+            "(at column 19)\n",
+            "ERROR the constants add up to a number that is not finite (at column 7)\n",
+            f"ERROR constraint {overflowing!r} overflows: its row holds a number that is not "
+            "finite\n",
+            "",
+        ]
         assert code == 0
 
     def test_malformed_input_keeps_state(self):
