@@ -56,7 +56,6 @@ from .frames import (
     extension,
     parse_formula,
     pretty,
-    satisfies,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
 from .solver import LinearProgram, SolveResult, solve

@@ -208,14 +208,23 @@ class Repl:
 
     The state is the scenario, the ``system`` its constraints compiled to,
     that system's conflict ``core`` (``[]`` iff it is feasible), and the
-    tracked ``queries``: each query's text maps to its term and its last
-    bounds.  The constraints are compiled at the start and by ``assume``,
-    which lowers only its own constraint onto the kept system
+    tracked ``queries``: each query's text maps to its term, its last
+    bounds and whether those are still the bounds of the system.  The
+    constraints are compiled at the start and by ``assume``, which lowers
+    only its own constraint onto the kept system
     (:func:`~surprise_engine.constraints.extend`) and changes nothing when
     that constraint does not compile; ``retract`` cuts its system out of
     the kept one.  The system's basis stays refined by the sets of every
     tracked query, so the check and each query's bounds after an
-    ``assume`` or ``retract`` share one box: one root phase 1.
+    ``assume`` or ``retract`` share one box.  After a feasible ``assume``,
+    that box's root program starts from the last basis of the one before,
+    so no phase 1 runs from scratch.
+
+    An ``assume`` only shrinks the feasible set, so a query whose two end
+    witnesses both meet the new constraint keeps its bounds with no LP:
+    exactly on ``=``, ``<=`` and ``>=``, strictly on ``<`` and ``>``.  A
+    ``retract`` grows the set, and every query's bounds are found again at
+    the next ``assume``.
     """
 
     system: cons.CompiledSystem
@@ -225,7 +234,8 @@ class Repl:
         self.scenario = scenario
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
-        self.queries: dict[str, tuple[cons.BelTerm, tuple[float, float]]] = {}
+        # per query text: the term, its last bounds, and whether they still hold
+        self.queries: dict[str, tuple[cons.BelTerm, cons.BoundsResult, bool]] = {}
 
     def say(self, line: str) -> None:
         print(line, file=self.stdout)
@@ -295,17 +305,20 @@ class Repl:
             self.do_why()
             return
         self.say(f"ASSUMED {len(self.scenario.constraints)}: {con.render(self.scenario.frame)}")
-        for qtext, (term, old) in list(self.queries.items()):
+        for qtext, (term, old, current) in list(self.queries.items()):
+            if current and all(cons.constraint_satisfied(w, con, tol=0.0)
+                               for w in (old.witness_lo, old.witness_hi)):
+                continue  # each end is still attained, and nothing lies beyond it
             try:
                 res = cons.bounds(self.system, term)
             except QueryUndefinedEverywhere:
                 self.say(f"UNDEFINED {qtext}")
+                self.queries[qtext] = (term, old, False)
                 continue
-            new = (res.lo, res.hi)
-            if new[0] > old[0] + 1e-9 or new[1] < old[1] - 1e-9:
-                self.say(f"NARROWED {qtext}: [{_num(old[0])}, {_num(old[1])}] -> "
-                         f"[{_num(new[0])}, {_num(new[1])}]")
-            self.queries[qtext] = (term, new)
+            if res.lo > old.lo + 1e-9 or res.hi < old.hi - 1e-9:
+                self.say(f"NARROWED {qtext}: [{_num(old.lo)}, {_num(old.hi)}] -> "
+                         f"[{_num(res.lo)}, {_num(res.hi)}]")
+            self.queries[qtext] = (term, res, True)
 
     def do_retract(self, text: str) -> None:
         try:
@@ -319,6 +332,7 @@ class Repl:
         keep = [i for i in range(len(self.scenario.constraints)) if i != n - 1]
         self._check(cons.subsystem(self.system, keep))
         con = self.scenario.constraints.pop(n - 1)
+        self.queries = {q: (term, res, False) for q, (term, res, _) in self.queries.items()}
         self.say(f"RETRACTED {n}: {con.render(self.scenario.frame)}")
         self._say_status()
 
@@ -335,7 +349,7 @@ class Repl:
             self.say(f"UNDEFINED {exc}")
             return
         self.system = system  # the query is tracked: keep its sets in the basis
-        self.queries[key] = (term, (res.lo, res.hi))
+        self.queries[key] = (term, res, True)
         for line in _interval_result(key, res).text_lines():
             self.say(line)
 
@@ -357,7 +371,7 @@ class Repl:
             constraints=list(self.scenario.constraints),
             calibration=self.scenario.calibration,
             calibration_entries=list(self.scenario.calibration_entries),
-            queries=[(f"q{i + 1}", term) for i, (term, _) in enumerate(self.queries.values())],
+            queries=[(f"q{i + 1}", term) for i, (term, _, _) in enumerate(self.queries.values())],
             config=self.scenario.config,
         )
         try:

@@ -44,10 +44,15 @@ box, with the root relaxation's program and every probed cell, from the
 first call that searches it, so ``feasible``, ``bounds``,
 ``conflict_core`` and ``lower_envelope`` on one system share one phase 1
 per cell; on a parameter-free system each LP starts from the last one's
-optimal basis.  A query is a quotient of two linear functions of the columns,
-optimized over a cell by Dinkelbach's method.  The lower envelope walks
-the subsets by size and runs a best-first search only for a subset whose
-value the witnesses found so far and its own subsets' values leave open.
+optimal basis.  A parameter-free system that :func:`extend` or
+:func:`refine` makes from one whose box exists starts its root program
+from a copy of that one's last basis, so it runs no phase 1 from scratch
+unless it is infeasible (see ``solver.Seed``); it keeps none of the older
+system's arrays.  A query is a quotient of two linear functions of the
+columns, optimized over a cell by Dinkelbach's method.  The lower
+envelope walks the subsets by size and runs a best-first search only for
+a subset whose value the witnesses found so far and its own subsets'
+values leave open.
 
 An infeasible system is explained by an irreducible conflicting subset
 of its constraints, found by a deletion filter.  Each deletion test cuts
@@ -91,7 +96,7 @@ from .frames import (
     pretty,
     tokenize,
 )
-from .solver import INFEASIBLE, LinearProgram, solve
+from .solver import INFEASIBLE, LinearProgram, Seed, seed_for, solve
 
 # LP optima at or below this count as zero: the largest slack delta, the
 # Dinkelbach gap max(num - v*den) and the largest denominator.
@@ -323,6 +328,9 @@ class CompiledSystem:
     conditions: tuple[tuple[int, ...], ...] = ()
     # the parameter box every call on this system shares (see _box)
     box: _Box | None = field(default=None, init=False, repr=False)
+    # the start of the box's root program, copied from the system this one
+    # extends or refines (see _seed)
+    seed: Seed | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def strict(self) -> bool:
@@ -416,9 +424,11 @@ def extend(system: CompiledSystem, constraints: Sequence[Constraint], *,
     base = _rebase(system, columns) if system.constraints else system
     conditions = tuple(tuple(not_g for _, _, not_g in terms if not_g is not None)
                        for terms, _ in forms)
+    parent = system
     system = CompiledSystem(frame, base.constraints + tuple(constraints), columns,
                             [r for r in base.static_rows if not isinstance(r.origin, str)],
                             list(base.param_rows), num_params, base.conditions + conditions)
+    old_rows = len(system.static_rows)
     # finite coefficients may still add up past the largest float: such a
     # row does not compile
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,7 +454,12 @@ def extend(system: CompiledSystem, constraints: Sequence[Constraint], *,
                 raise CompileError(f"constraint {con.render(frame)!r} overflows: "
                                    "its row holds a number that is not finite")
             system.static_rows.append(StaticRow(coeffs, relop, const, idx, strict))
+    # the parent's guards come first among the guards, after the new rows
+    added = len(system.static_rows)
     system.static_rows += _guard_rows(system)
+    old_guards = len(base.static_rows) - old_rows
+    _seed(parent, system, [*range(old_rows, added),
+                           *range(added + old_guards, len(system.static_rows))])
     return system
 
 
@@ -510,7 +525,24 @@ def refine(system: CompiledSystem, sets) -> CompiledSystem:
     system itself when that adds no column.  Each new column takes the
     row coefficients of the least old column that contains it, so every
     row reads as before and ``Bel`` of each added set is exact."""
-    return _rebase(system, _closure(system.columns, sets))
+    refined = _rebase(system, _closure(system.columns, sets))
+    if refined is not system:
+        _seed(system, refined, ())
+    return refined
+
+
+def _seed(parent: CompiledSystem, child: CompiledSystem, new_rows: Sequence[int]) -> None:
+    """Start the root program of a parameter-free child, over the parent's
+    rows and ``new_rows``, from the last feasible basis of the parent's root
+    program, when the parent has a box.  Each column of the child copies
+    its least container among the parent's columns, and a ``delta`` the
+    parent lacks is zero on its rows."""
+    if parent.box is None or parent.num_params or child.num_params:
+        return
+    columns = _least(parent, child.columns)
+    if child.strict:
+        columns = np.append(columns, len(parent.columns) if parent.strict else -1)
+    child.seed = seed_for(parent.box.relaxation, columns, new_rows)
 
 
 def _rebase(system: CompiledSystem, columns: tuple[int, ...]) -> CompiledSystem:
@@ -527,14 +559,14 @@ def _rebase(system: CompiledSystem, columns: tuple[int, ...]) -> CompiledSystem:
 
 def _least(system: CompiledSystem, columns: tuple[int, ...]) -> np.ndarray:
     """The index of the least column of the system that contains each of
-    ``columns``."""
-    new = np.array(columns, dtype=system.column_bits.dtype)
-    least = np.empty(len(columns), dtype=np.intp)
-    # the least container lies inside every other one, so of the
-    # containers taken by decreasing size it is the last
-    for i in sorted(range(len(system.columns)), key=lambda i: -system.columns[i].bit_count()):
-        least[(new & ~system.columns[i]) == 0] = i
-    return least
+    ``columns``, a closed family that holds the system's own: of the
+    containers, the one with the fewest points."""
+    if len(columns) == len(system.columns):
+        return np.arange(len(columns))
+    inside = (np.array(columns, dtype=system.column_bits.dtype)[:, None]
+              & ~system.column_bits) == 0
+    sizes = np.array([c.bit_count() for c in system.columns])
+    return np.where(inside, sizes, system.frame.theta_size + 1).argmin(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +610,11 @@ def _rows(system: CompiledSystem, cells: Sequence[tuple[float, float]]) -> list:
             for coeffs, op, const, strict in rows]
 
 
-def _program(system: CompiledSystem, cells=(), *, warm: bool = False) -> LinearProgram:
+def _program(system: CompiledSystem, cells=(), *, warm: bool = False,
+             seed: Seed | None = None) -> LinearProgram:
     """The LP rows of a cell, as one program for every LP over that cell."""
-    return LinearProgram(len(system.columns) + system.strict, _rows(system, cells), warm=warm)
+    return LinearProgram(len(system.columns) + system.strict, _rows(system, cells), warm=warm,
+                         seed=seed)
 
 
 def _objective(system: CompiledSystem, vec: np.ndarray) -> np.ndarray:
@@ -616,7 +650,8 @@ class _Box:
     On a parameter-free system, where every LP of every call runs over
     the root program, that program is warm: each solve starts from the
     last one's optimal basis, so a run of LPs over the polytope, such as
-    the lower envelope's, pivots only from one optimum to the next.  The
+    the lower envelope's, pivots only from one optimum to the next.  Its
+    first solve starts from the system's ``seed`` when it has one.  The
     cells of a parameterized box, its root included, start each solve
     from phase 1's tableau: the search's path depends on the optima it
     meets, and from warm-started optima it can exhaust its probe budget
@@ -634,7 +669,8 @@ class _Box:
         root = tuple((0.0, 1.0) for _ in range(system.num_params))
         # warm only without parameters; the certified-gap search of ROADMAP
         # item 2 would let every cell warm-start and remove this split
-        self.relaxation = _program(system, root, warm=not system.num_params)
+        self.relaxation = _program(system, root, warm=not system.num_params, seed=system.seed)
+        system.seed = None
         found = self.cell(system, root, self.relaxation)
         if root and found is not None:
             program, point = found

@@ -298,26 +298,6 @@ class Implies(Formula):
     right: Formula
 
 
-def satisfies(frame: ProductFrame, point: int, formula: Formula) -> bool:
-    """Does the point satisfy the formula?
-
-    Conjunction and implication are evaluated through their rewrites
-    ``not (not g or not h)`` and ``not g or h``, one call per node.
-    """
-    if isinstance(formula, Atom):
-        return frame.value_at(point, formula.var) == formula.value
-    if isinstance(formula, Not):
-        return not satisfies(frame, point, formula.child)
-    if isinstance(formula, Or):
-        return satisfies(frame, point, formula.left) or satisfies(frame, point, formula.right)
-    if isinstance(formula, And):
-        return not ((not satisfies(frame, point, formula.left))
-                    or (not satisfies(frame, point, formula.right)))
-    if isinstance(formula, Implies):
-        return (not satisfies(frame, point, formula.left)) or satisfies(frame, point, formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 def extension(frame: ProductFrame, formula: Formula) -> SubsetOfTheta:
     """The subset of points satisfying the formula."""
     return SubsetOfTheta(frame, extension_bits(frame, formula))

@@ -96,6 +96,14 @@ def _parse_bool(value: str, line: int) -> bool:
     raise ScenarioError(f"expected on/off, got {value!r}", line)
 
 
+def _at(exc: EngineError, offset: int, lineno: int) -> ScenarioError:
+    """The error of a text that starts ``offset`` characters into line
+    ``lineno``, with its column counted from the start of the line."""
+    if isinstance(exc, TextError) and exc.position is not None:
+        exc.position += offset
+    return ScenarioError(str(exc), lineno)
+
+
 def load_scenario(path, overrides: dict[str, str] | None = None) -> Scenario:
     """Read and resolve a scenario file.
 
@@ -112,10 +120,14 @@ def load_scenario(path, overrides: dict[str, str] | None = None) -> Scenario:
 
 def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
                    source: str = "<scenario>") -> Scenario:
-    sections: dict[str, list[tuple[int, str]]] = {name: [] for name in _SECTIONS}
+    # each section's lines, stripped, with their numbers and the width of
+    # the white space stripped off their start
+    sections: dict[str, list[tuple[int, str, int]]] = {name: [] for name in _SECTIONS}
     current: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
+        line = rawline.split("#", 1)[0]
+        indent = len(line) - len(line.lstrip())
+        line = line.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -126,11 +138,11 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
             continue
         if current is None:
             raise ScenarioError(f"content before any section: {line!r}", lineno)
-        sections[current].append((lineno, line))
+        sections[current].append((lineno, line, indent))
 
     config = ScenarioConfig()
 
-    for lineno, line in sections["constants"]:
+    for lineno, line, indent in sections["constants"]:
         m = _ASSIGN_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"expected 'name = number', got {line!r}", lineno)
@@ -140,10 +152,10 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
             raise ScenarioError(f"constant {m.group(1)!r} has a non-numeric value", lineno) from None
         if not isfinite(value):
             fault = TextError(f"constant {m.group(1)!r} is not finite", m.start(2))
-            raise ScenarioError(str(fault), lineno)
+            raise _at(fault, indent, lineno)
         config.constants[m.group(1)] = value
 
-    for lineno, line in sections["config"]:
+    for lineno, line, _ in sections["config"]:
         m = _ASSIGN_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
@@ -175,7 +187,7 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
             config.constants[key] = number
 
     variables = []
-    for lineno, line in sections["variables"]:
+    for lineno, line, _ in sections["variables"]:
         m = _VARIABLE_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"expected 'NAME: value, value, ...', got {line!r}", lineno)
@@ -189,11 +201,11 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
         raise ScenarioError(str(exc), sections["variables"][0][0]) from exc
 
     constraints: list[Constraint] = []
-    for lineno, line in sections["constraints"]:
-        body = line
+    for lineno, line, indent in sections["constraints"]:
+        body, start = line, indent
         m = _WHEN_RE.fullmatch(line)
         if m:
-            flag, body = m.group(1), m.group(2)
+            flag, body, start = m.group(1), m.group(2), indent + m.start(2)
             if flag not in config.flags:
                 raise ScenarioError(f"undeclared flag {flag!r} in 'when' prefix", lineno)
             if not config.flags[flag]:
@@ -201,10 +213,10 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
         try:
             constraints.append(parse_constraint(body, frame, config.constants))
         except EngineError as exc:
-            raise ScenarioError(str(exc), lineno) from exc
+            raise _at(exc, start, lineno) from exc
 
     entries: list[tuple[int, int, float]] = []
-    for lineno, line in sections["calibration"]:
+    for lineno, line, _ in sections["calibration"]:
         m = _CALIB_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"expected 'X vs Y -> surprise', got {line!r}", lineno)
@@ -218,7 +230,7 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
 
     queries: list[tuple[str, BelTerm]] = []
     seen_names = set()
-    for lineno, line in sections["queries"]:
+    for lineno, line, indent in sections["queries"]:
         m = _QUERY_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"expected 'name: Bel(...)', got {line!r}", lineno)
@@ -229,7 +241,7 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None, *,
         try:
             queries.append((name, parse_query_term(m.group(2), frame)))
         except EngineError as exc:
-            raise ScenarioError(str(exc), lineno) from exc
+            raise _at(exc, indent + m.start(2), lineno) from exc
 
     return Scenario(frame, constraints, curve, entries, queries, config)
 

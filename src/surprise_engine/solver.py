@@ -25,6 +25,16 @@ warm program each starts next to the last optimum.  The reduced-cost row
 is the tableau's last row, so a pivot is one rank-1 update of the whole
 array.
 
+A program that adds columns and rows to a solved one may start from a
+:class:`Seed`, a copy of that parent's last feasible tableau and basis,
+instead of phase 1.  A new column copies the tableau column of the parent
+column whose coefficients it repeats, and each new row is written in the
+parent's basis.  Where the parent's point meets a new row, the row's
+slack is basic; else the row gets one artificial variable, and a phase 1
+over those artificials alone repairs the basis while every parent row
+stays feasible.  A repair that ends infeasible gives way to phase 1 from
+scratch, so an infeasible program's certificate is that of a cold start.
+
 A program whose phase 1 ends infeasible keeps a Farkas certificate
 instead: multipliers ``y``, one per row in the caller's order and signs,
 with ``y <= 0`` on ``<=`` rows, ``y >= 0`` on ``>=`` rows, ``y.b > 0`` and,
@@ -67,14 +77,15 @@ class LinearProgram:
     phase 1 on the program for every later one: the feasible tableau, or
     the Farkas certificate of an infeasible program (see :attr:`farkas`).
     A ``warm`` program also keeps each solve's final tableau, and the next
-    solve starts from it.
+    solve starts from it.  A program made with a ``seed`` runs its phase 1
+    from that copy of a parent's basis (see :class:`Seed`).
     """
 
     __slots__ = ("num_vars", "row_coeffs", "relops", "consts", "zero_vars", "warm", "_sense",
-                 "_phase1")
+                 "_phase1", "_seed")
 
     def __init__(self, num_vars: int, rows: Sequence[tuple], *, zero_vars: Sequence[int] = (),
-                 warm: bool = False):
+                 warm: bool = False, seed: Seed | None = None):
         self.num_vars = int(num_vars)
         if self.num_vars < 1:
             raise SolverError("a program needs at least one variable")
@@ -100,6 +111,9 @@ class LinearProgram:
         self.warm = bool(warm)
         self._sense = np.array([_SENSE[op] for op in relops])
         self._phase1 = None  # set by the first solve; see _phase1
+        if seed is not None and (self.zero_vars or seed.columns.shape != (self.num_vars,)):
+            raise SolverError("a seed needs a program with no pinned variable, one column each")
+        self._seed = seed  # taken by the first solve; see _seeded
 
     @property
     def farkas(self) -> np.ndarray | None:
@@ -107,6 +121,33 @@ class LinearProgram:
         solve has found it so; else ``None``.  The rows with a nonzero
         multiplier are infeasible on their own."""
         return self._phase1 if isinstance(self._phase1, np.ndarray) else None
+
+
+@dataclass(frozen=True, eq=False)
+class Seed:
+    """The last feasible tableau and basis of a solved program, copied for
+    a child program that adds columns and rows to it (see :func:`seed_for`).
+    ``columns`` holds, per variable of the child, the parent variable whose
+    coefficients it copies on the parent's rows, or -1 for a variable that
+    is zero on them; ``new_rows`` are the child's rows that the parent
+    lacks.  The child's other rows are the parent's."""
+
+    tableau: np.ndarray  # without the reduced-cost row
+    basis: np.ndarray
+    parent_vars: int
+    columns: np.ndarray
+    new_rows: np.ndarray
+
+
+def seed_for(parent: LinearProgram, columns, new_rows) -> Seed | None:
+    """A copy of the parent's last feasible basis for a child program (see
+    :class:`Seed`), or ``None`` when no solve has found the parent
+    feasible, or it pins variables."""
+    if parent.zero_vars or not isinstance(parent._phase1, tuple):
+        return None
+    _, T, basis, _ = parent._phase1
+    return Seed(T[:-1].copy(), basis.copy(), parent.num_vars,
+                np.asarray(columns, dtype=np.intp), np.asarray(new_rows, dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +266,78 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
         # optimality leaves a wrong sign of at most PIVOT_TOL: clip it
         y[lp._sense * y > 0.0] = 0.0
         return y, pivots
+    outcome, more = _drop_artificials(lp, keep, T, basis, width)
+    return outcome, pivots + more
 
-    # Remove artificial variables: pivot basics out on the largest
-    # available element (tiny pivots would blow residuals up), dropping
-    # numerically redundant rows.
+
+def _seeded(lp: LinearProgram, seed: Seed, budget: int) -> tuple[object, int]:
+    """Phase 1 of a child program from its parent's feasible basis (see
+    :class:`Seed`), with the outcome and pivot count of :func:`_phase1`.
+
+    Each copied column takes its parent column's tableau column, and a
+    basic parent column stays basic as the last child column that copies
+    it.  A column of -1 is zero on the parent's rows, and the parent's
+    slacks are zero on the new rows.  Each new row is written in that
+    basis, one vector-matrix product: with its slack basic when the
+    parent's point meets it, else with one artificial variable.  A phase 1 over those artificials alone
+    keeps every parent row feasible.  When it ends infeasible, the program
+    runs :func:`_phase1` from scratch, whose certificate the caller reads,
+    and the count includes both runs."""
+    parent, n, n_p = seed.tableau, lp.num_vars, seed.parent_vars
+    m_p, slacks, new = parent.shape[0], parent.shape[1] - 1 - n_p, seed.new_rows
+    sense = lp._sense[new]
+    width = n + slacks + int(np.count_nonzero(sense))
+    # an artificial column for each new row; those left unused never enter
+    T = np.zeros((m_p + new.size + 1, width + new.size + 1))
+    copied = (seed.columns >= 0).nonzero()[0]
+    T[:m_p, copied] = parent[:, seed.columns[copied]]
+    T[:m_p, n:n + slacks] = parent[:, n_p:-1]
+    T[:m_p, -1] = parent[:, -1]
+    last = {p: c for c, p in enumerate(seed.columns.tolist())}
+    basis = np.array([last[b] if b < n_p else b - n_p + n for b in seed.basis.tolist()])
+
+    rows = T[m_p:-1]
+    rows[:, :n] = lp.row_coeffs[new]
+    rows[:, -1] = lp.consts[new]
+    slack = n + slacks  # the next new row's slack column
+    added = []  # each new row's basic column
+    for i, (row, s) in enumerate(zip(rows, sense.tolist())):
+        row -= row[basis] @ T[:m_p]  # the row written in the parent's basis
+        if s:
+            row[slack] = s
+        if s and s * row[-1] >= 0.0:  # the parent's point meets it
+            row *= s
+            added.append(slack)
+        else:
+            if row[-1] < 0.0:
+                row *= -1.0
+            row[width + i] = 1.0
+            added.append(width + i)
+        slack += s != 0.0
+    basis = np.concatenate((basis, np.array(added, dtype=np.intp)))
+
+    pivots = 0
+    repair = basis[m_p:] >= width
+    if repair.any():
+        T[-1, width:-1] = 1.0  # minimize the sum of the new artificial variables
+        T[-1] -= rows[repair].sum(axis=0)
+        pivots = _iterate(T, basis, budget)
+        if -T[-1, -1] > 1e-9:
+            outcome, more = _phase1(lp, budget - pivots)
+            return outcome, pivots + more
+    outcome, more = _drop_artificials(lp, np.arange(n), T, basis, width)
+    return outcome, pivots + more
+
+
+def _drop_artificials(lp: LinearProgram, keep: np.ndarray, T: np.ndarray, basis: np.ndarray,
+                      width: int) -> tuple[tuple, int]:
+    """The outcome of a phase 1 that reached zero: the kept coordinates,
+    the tableau without its artificial columns (those past ``width``) or
+    redundant rows, its basis and its point, with the count of pivots that
+    moved artificial variables left basic at zero out of the basis."""
+    # pivot basics out on the largest available element (tiny pivots would
+    # blow residuals up), dropping numerically redundant rows
+    pivots = 0
     dropped = []
     for i in (basis >= width).nonzero()[0]:
         row = np.abs(T[i, :width])
@@ -238,8 +347,9 @@ def _phase1(lp: LinearProgram, budget: int) -> tuple[object, int]:
             pivots += 1
         else:
             dropped.append(i)
-    T = np.delete(np.delete(T, np.s_[width:-1], axis=1), dropped, axis=0)
-    basis = np.delete(basis, dropped)
+    T = np.delete(T, np.s_[width:-1], axis=1)
+    if dropped:
+        T, basis = np.delete(T, dropped, axis=0), np.delete(basis, dropped)
     # a basic value rounded just below zero would turn into a large negative
     # step on a tiny pivot in phase 2: it is zero
     rhs = T[:-1, -1]
@@ -261,7 +371,8 @@ def solve(lp: LinearProgram, objective=None, *,
     Returns ``INFEASIBLE``; ``OPTIMAL`` with value and point when an
     ``objective`` coefficient vector is given, which is maximized (to
     minimize, negate it); or ``FEASIBLE`` with the point of phase 1.  Only
-    the first solve of a program runs phase 1.  Every solve with an
+    the first solve of a program runs phase 1, from the program's seed when
+    it has one, and counts its pivots.  Every solve with an
     objective runs phase 2: on a copy of the program's feasible tableau,
     or on a ``warm`` program from the last solve's tableau, which it keeps
     for the next.  ``pivots`` counts the pivots of this solve.  Raises
@@ -274,7 +385,9 @@ def solve(lp: LinearProgram, objective=None, *,
             raise SolverError("objective width does not match the variable count")
     pivots = 0
     if lp._phase1 is None:
-        lp._phase1, pivots = _phase1(lp, max_pivots)
+        seed, lp._seed = lp._seed, None
+        lp._phase1, pivots = (_phase1(lp, max_pivots) if seed is None
+                              else _seeded(lp, seed, max_pivots))
     if lp.farkas is not None:
         return SolveResult(INFEASIBLE, pivots=pivots)
     keep, T, basis, point = lp._phase1

@@ -1117,6 +1117,88 @@ class TestOneBoxPerSystem:
 
 _HIRE_FRAME = ProductFrame([("HIRE", ("Yes", "No"))])
 
+_SEED_FRAME = ProductFrame([("A", ("a", "b", "c")), ("B", ("Yes", "No"))])
+
+
+@st.composite
+def _seed_rows(draw):
+    """A constraint of the six-point frame: ``Bel(S) relop c`` or, with a
+    new guard when its evidence is new, ``Bel(S | E) relop c``."""
+    frame = _SEED_FRAME
+    text = subset_formula(frame, frame.subset(draw(st.integers(1, frame.full_bits))))
+    if draw(st.booleans()):
+        evidence = frame.subset(draw(st.integers(1, frame.full_bits)))
+        text += f" | {subset_formula(frame, evidence)}"
+    relop = draw(st.sampled_from(["=", "<=", ">=", "<", ">"]))
+    value = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0]))
+    return parse_constraint(f"Bel({text}) {relop} {value}", frame)
+
+
+def _ends(system, query):
+    try:
+        res = bounds(system, query)
+    except QueryUndefinedEverywhere:
+        return None
+    return res.lo, res.hi, res.lo_open, res.hi_open
+
+
+class TestSeededChild:
+    @given(st.lists(_seed_rows(), max_size=3), st.lists(_seed_rows(), min_size=1, max_size=4),
+           _seed_rows())
+    @settings(max_examples=200)
+    def test_a_seeded_child_answers_as_a_cold_one(self, base, added, probe):
+        """A system, feasible and bounded by a query so that its box exists,
+        extended by one row at a time: each child, which starts from its
+        parent's basis, answers as a copy that runs phase 1 from scratch
+        and as a fresh compile of its constraints.  A query whose sets are
+        new refines the child, and that child starts warm too."""
+        frame = _SEED_FRAME
+        (_, query), = probe.terms
+        system = compile_constraints(base, frame)
+        for con in added:
+            if not feasible(system).feasible:
+                break
+            system = constraints.refine(system, constraints.query_sets(frame, query))
+            _ends(system, query)  # moves the root program's basis to an end's optimum
+            child, cold = constraints.extend(system, [con]), constraints.extend(system, [con])
+            assert child.seed is not None
+            cold.seed = None
+            verdict = feasible(child).feasible
+            assert verdict == feasible(cold).feasible
+            if not verdict:
+                seeded, plain = child.box.relaxation.farkas, cold.box.relaxation.farkas
+                assert (seeded is None) == (plain is None)
+                assert seeded is None or np.array_equal(seeded, plain)
+                assert conflict_core(child) == conflict_core(cold)
+                break
+            ends = _ends(child, query)
+            fresh = _ends(compile_constraints(child.constraints, frame), query)
+            assert (ends is None) == (fresh is None)
+            if ends is not None:
+                assert ends[:2] == pytest.approx(fresh[:2], abs=1e-9)
+                assert ends[2:] == fresh[2:]
+            system = child
+
+    def test_the_seed_is_a_copy(self):
+        # the child holds none of its parent's arrays, and its first solve
+        # takes the seed, so a session keeps no history alive
+        frame = _SEED_FRAME
+        system = compile_constraints([parse_constraint("Bel(A=a) >= 0.2", frame)], frame)
+        assert feasible(system).feasible
+        child = constraints.extend(system, [parse_constraint("Bel(A=b | B) <= 0.5", frame)])
+        _, tableau, basis, _ = system.box.relaxation._phase1
+        assert not np.shares_memory(child.seed.tableau, tableau)
+        assert not np.shares_memory(child.seed.basis, basis)
+        assert feasible(child).feasible
+        assert child.seed is None and child.box.relaxation._seed is None
+
+    def test_a_parameterized_child_starts_cold(self):
+        frame = _SEED_FRAME
+        system = compile_constraints([parse_constraint("Bel(A=a) >= 0.2", frame)], frame)
+        assert feasible(system).feasible
+        child = constraints.extend(system, [parse_constraint("Bel(A=a) = Bel(A=a | B)", frame)])
+        assert child.num_params == 1 and child.seed is None
+
 
 class TestCompilerOracleEquivalence:
     def test_rows_agree_with_conditioning_oracle(self, rng):

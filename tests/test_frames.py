@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from surprise_engine import (
     And,
     Atom,
+    Formula,
     FormulaError,
     FormulaSyntaxError,
     FrameTooLarge,
@@ -20,9 +21,29 @@ from surprise_engine import (
     extension,
     parse_formula,
     pretty,
-    satisfies,
 )
 from surprise_engine.frames import MAX_OPERATORS, extension_bits, tokenize
+
+
+def satisfies(frame: ProductFrame, point: int, formula: Formula) -> bool:
+    """Does the point satisfy the formula?  The tests' oracle for
+    :func:`extension_bits`, walking the formula at one point.
+
+    Conjunction and implication are evaluated through their rewrites
+    ``not (not g or not h)`` and ``not g or h``, one call per node.
+    """
+    if isinstance(formula, Atom):
+        return frame.value_at(point, formula.var) == formula.value
+    if isinstance(formula, Not):
+        return not satisfies(frame, point, formula.child)
+    if isinstance(formula, Or):
+        return satisfies(frame, point, formula.left) or satisfies(frame, point, formula.right)
+    if isinstance(formula, And):
+        return not ((not satisfies(frame, point, formula.left))
+                    or (not satisfies(frame, point, formula.right)))
+    if isinstance(formula, Implies):
+        return (not satisfies(frame, point, formula.left)) or satisfies(frame, point, formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 @pytest.fixture

@@ -351,6 +351,22 @@ def test_a_number_that_is_not_finite_is_a_usage_error(capsys, tmp_path, body, ar
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("[config]\nindependence = on\n\n[variables]\nHIRE: Yes, No\n\n[constraints]\n"
+     "    when independence: Bel(FIRE) = 1\n",
+     "line 8: inside Bel(...): unknown variable 'FIRE' (at column 28)"),
+    ("[variables]\nHIRE: Yes, No\n\n[queries]\nq:   Bel(FIRE)\n",
+     "line 5: inside Bel(...): unknown variable 'FIRE' (at column 10)"),
+    ("[variables]\nHIRE: Yes, No\n\n[constants]\n  c = inf\n",
+     "line 5: constant 'c' is not finite (at column 7)"),
+])
+def test_a_parse_error_column_counts_from_the_line(capsys, tmp_path, body, message):
+    path = tmp_path / "column.bel"
+    path.write_text(body)
+    assert main(["check", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestOverCommittedBunker:
     """Bunker copies whose added row contradicts the fused confidence
     c + d - c*d: ``check`` must name a conflict, not fail in the solver."""
@@ -448,6 +464,17 @@ def test_corpus_lp_counts(capsys, monkeypatch, name, command):
     main([command, str(bundled_scenario(name))])
     capsys.readouterr()
     assert len(solves) <= CORPUS_LPS[name][command]
+
+
+# LPs of the golden REPL session (REPL_SCRIPT), measured once a query kept
+# its bounds through an assume that both its end witnesses meet; 60 before
+REPL_LPS = 45
+
+
+def test_repl_lp_count(monkeypatch):
+    solves = counting_solves(monkeypatch)
+    _repl_transcript()
+    assert len(solves) <= REPL_LPS
 
 
 # simplex pivots of each corpus command, phase 1's included, measured once a
@@ -549,6 +576,37 @@ def _corpus_output(capsys) -> str:
 def test_corpus_output_matches_golden_file(capsys):
     # after an intended change of output, rewrite the file from _corpus_output
     assert _corpus_output(capsys).splitlines() == GOLDEN.read_text().splitlines()
+
+
+# a REPL session on bird.bel: two tracked conditional queries, an =, a <=,
+# a strict and a conditional assume, a planted contradiction with its
+# retract, and the queries again
+REPL_SCRIPT = [
+    "bounds Bel(BIRD | FLY)",
+    "bounds Bel(FLY | not BIRD)",
+    "assume Bel(BIRD) = 0.5",
+    "assume Bel(FLY) <= 0.8",
+    "assume Bel(not BIRD or FLY) > 0.55",
+    "assume Bel(FLY | not BIRD) >= 0.2",
+    "assume Bel(BIRD) >= 0.7",
+    "retract 7",
+    "bounds Bel(BIRD | FLY)",
+    "bounds Bel(FLY | not BIRD)",
+    "list",
+]
+REPL_GOLDEN = Path(__file__).with_name("repl_transcript.txt")
+
+
+def _repl_transcript() -> str:
+    out = io.StringIO()
+    Repl(load_scenario(bundled_scenario("bird.bel")),
+         stdin=io.StringIO("\n".join(REPL_SCRIPT) + "\nquit\n"), stdout=out).run()
+    return out.getvalue()
+
+
+def test_repl_transcript_matches_golden_file():
+    # after an intended change of output, rewrite the file from _repl_transcript
+    assert _repl_transcript() == REPL_GOLDEN.read_text()
 
 
 SIX_VALUES = "[variables]\nV0: v0, v1, v2, v3, v4, v5\n\n[constraints]\n"
@@ -688,8 +746,9 @@ class TestRepl:
         assert "CONFLICT 1: Bel(RAIN) >= 0.25" in out
         assert "CONFLICT 2: Bel(RAIN) = 0.1" in out
 
-    def test_assume_with_two_tracked_queries_runs_one_phase1(self, monkeypatch):
-        # the check and both queries' bounds share the extended system's box
+    def test_assume_with_two_tracked_queries_runs_no_phase1(self, monkeypatch):
+        # the check and both queries' bounds share the extended system's box,
+        # whose root program starts from the last basis of the system before
         phase1 = solver._phase1
         runs = []
 
@@ -705,7 +764,22 @@ class TestRepl:
         ], runs), io.StringIO()
         Repl(parse_scenario(RAIN_SCENARIO), stdin=stdin, stdout=out).run()
         assert "NARROWED Bel(RAIN): [0, 1] -> [0.25, 1]" in out.getvalue()
-        assert stdin.marks[3] - stdin.marks[2] == 1
+        assert stdin.marks[3] - stdin.marks[2] == 0
+
+    def test_an_assume_both_witnesses_meet_runs_no_bounds_lp(self, monkeypatch):
+        lps, out = _lps_per_command(monkeypatch, parse_scenario(RAIN_SCENARIO), [
+            "bounds Bel(RAIN)",
+            "assume Bel(RAIN) <= 1",  # both witnesses meet it: the check's LP alone
+            "assume Bel(RAIN) < 1",  # the upper witness meets it only loosely
+            "bounds Bel(RAIN)",
+            "retract 2",
+            "assume Bel(WET) <= 1",  # met, but the retract left every end stale
+        ])
+        check = lps[2]
+        assert check > 0 and lps[3] > check and lps[6] > check
+        replies = _replies(out)
+        assert replies[1:5] == ["QUERY Bel(RAIN) = [0, 1]\n", "ASSUMED 1: Bel(RAIN) <= 1\n",
+                                "ASSUMED 2: Bel(RAIN) < 1\n", "QUERY Bel(RAIN) = [0, 1)\n"]
 
     def test_assume_that_does_not_compile_keeps_the_state(self):
         repl = Repl(parse_scenario(RAIN_SCENARIO + "[constraints]\n"
